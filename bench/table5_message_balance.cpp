@@ -1,6 +1,7 @@
 // Table V — max/mean ratio of per-worker CC messages (with the imbalance
 // factors in parentheses), the paper's message-balance metric.
 #include <iostream>
+#include <string>
 
 #include "analysis/experiment.h"
 #include "analysis/message_stats.h"
@@ -28,9 +29,12 @@ int main(int argc, char** argv) {
       // Imbalance factors use the paper's per-family definitions
       // (edge-cut for METIS), matching Table III.
       const auto m = analysis::paper_metrics(d.graph, name, d.table3_parts);
-      table.add_row({name, format_fixed(s.max_over_mean, 3),
-                     "(" + format_fixed(m.edge_imbalance, 2) + "/" +
-                         format_fixed(m.vertex_imbalance, 2) + ")"});
+      std::string imbalance = "(";
+      imbalance += format_fixed(m.edge_imbalance, 2);
+      imbalance += '/';
+      imbalance += format_fixed(m.vertex_imbalance, 2);
+      imbalance += ')';
+      table.add_row({name, format_fixed(s.max_over_mean, 3), imbalance});
     }
     table.print(std::cout);
     std::cout << "\n";

@@ -155,19 +155,17 @@ ExperimentResult run_with_partition(const GraphView& graph,
   }
 
   namespace fs = std::filesystem;
-  bsp::RunOptions run_options = options;
   const fs::path dir = options.spill_dir.empty()
                            ? fs::temp_directory_path()
                            : fs::path(options.spill_dir);
   std::error_code ec;
   fs::create_directories(dir, ec);  // best-effort; open errors report below
-  run_options.spill_dir = dir.string();
   SpillFileGuard guard{
       (dir / ("ebv-workers." + process_unique_suffix() + ".ebvw")).string()};
 
   const bsp::DistributedGraph dist(graph, partition,
                                    {.spill_path = guard.path});
-  const bsp::BspRuntime runtime(run_options);
+  const bsp::BspRuntime runtime(options);
   result.run = run_app(runtime, dist, graph, app, pagerank_iterations);
   return result;
 }

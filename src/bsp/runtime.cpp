@@ -12,19 +12,38 @@
 #include <vector>
 
 #include "bsp/checkpoint.h"
-#include "bsp/mailbox.h"
 #include "common/assert.h"
 #include "common/failpoint.h"
 #include "common/parallel.h"
 #include "common/task_graph.h"
 #include "common/timer.h"
-#include "common/unique_id.h"
 #include "obs/trace.h"
 
 namespace ebv::bsp {
 namespace {
 
-using MsgBox = SharedMailbox<WireMessage>;
+/// One value in flight between two workers — the runtime's wire unit.
+struct WireMessage {
+  VertexId global = kInvalidVertex;
+  Value value = 0.0;
+};
+
+/// Messages from one worker to one peer within a superstep. Exactly one
+/// task writes a lane and exactly one later task drains it, ordered by
+/// the task graph, so it needs no lock. `count` is the lane's wire
+/// message count for the superstep — pushes minus the messages combining
+/// absorbed — reduced into the per-worker counters at the barrier.
+struct Lane {
+  std::vector<WireMessage> msgs;
+  std::uint64_t count = 0;
+
+  void push(const WireMessage& msg) {
+    msgs.push_back(msg);
+    ++count;
+  }
+};
+
+constexpr std::uint32_t kNoLane = 0xFFFFFFFFu;
 
 /// Relaxed add for the phase-wall accumulators (tasks of the same phase
 /// run concurrently under kParallel).
@@ -71,11 +90,6 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point begin_{};
 };
 
-/// Ring capacity of the async push path's bounded channel; a push that
-/// finds the ring full falls back to the mutex-guarded spill mailbox
-/// (the backpressure path). Strict mode never arms the channel.
-constexpr std::size_t kChannelCapacity = 1024;
-
 [[noreturn]] void fail_nan(const SubgraphProgram& program, VertexId gv,
                            std::uint32_t step) {
   throw std::runtime_error(
@@ -99,11 +113,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   const PartitionId p = graph.num_workers();
   EBV_REQUIRE(p >= 1, "need at least one worker");
   options_.cost_model.validate();
-  const bool async = options_.scheduler == SchedulerMode::kAsync;
-  EBV_REQUIRE(!(async && options_.combine_messages),
-              "the async scheduler cannot combine messages: combining "
-              "decisions depend on mailbox arrival order, which async "
-              "execution leaves unordered");
   const ClusterCostModel& cost = options_.cost_model;
 
   // --- Residency plan ---------------------------------------------------
@@ -119,8 +128,8 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   const bool with_loads = spilled && bounded;
   // Prefetch shrinks the residency groups to ⌊k/2⌋ so the loader task
   // for group g+1 can run while group g computes, current + next group
-  // together still inside the budget. Legal because strict results are
-  // pinned bit-identical for every budget, hence for every grouping.
+  // together still inside the budget. Legal because results are pinned
+  // bit-identical for every budget, hence for every grouping.
   const bool prefetch = options_.prefetch && with_loads && k >= 2;
   const PartitionId group_size =
       bounded ? (prefetch ? std::max<PartitionId>(1, k / 2) : k) : p;
@@ -191,32 +200,46 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   };
 
   // --- Communication topology ------------------------------------------
-  // senders_of[m] — workers that route mirror accumulators to master m;
-  // masters_of[i] — masters that broadcast into worker i. Both ascending.
-  // Derived once from the routing tables; these ARE the scheduler's
-  // cross-worker dependencies (the strict chains need only the maxima,
-  // the async mode the full peer sets).
+  // Every (mirror worker i, master m) pair that shares a replicated
+  // vertex owns one lane id, lane_of[i * p + m]: up[id] carries i's
+  // mirror accumulators to m, down[id] carries m's broadcasts back to i.
+  // senders_of[m] — workers that route to master m; masters_of[i] —
+  // masters that broadcast into worker i. Both ascending; they are the
+  // scheduler's cross-worker dependencies AND the order in which a
+  // reader drains its lanes, which reproduces the sequential sweep's
+  // message order under any schedule.
+  std::vector<std::uint32_t> lane_of(static_cast<std::size_t>(p) * p,
+                                     kNoLane);
   std::vector<std::vector<PartitionId>> senders_of(p);
   std::vector<std::vector<PartitionId>> masters_of(p);
+  std::uint32_t num_lanes = 0;
   {
-    std::vector<std::uint8_t> routes(static_cast<std::size_t>(p) * p, 0);
     for (VertexId gv = 0; gv < graph.num_global_vertices(); ++gv) {
       const auto parts = graph.parts_of(gv);
       if (parts.size() < 2) continue;
       const PartitionId m = graph.master_of(gv);
       for (const PartitionId i : parts) {
-        if (i != m) routes[static_cast<std::size_t>(i) * p + m] = 1;
+        if (i != m) lane_of[static_cast<std::size_t>(i) * p + m] = 0;
       }
     }
     for (PartitionId i = 0; i < p; ++i) {
       for (PartitionId m = 0; m < p; ++m) {
-        if (routes[static_cast<std::size_t>(i) * p + m] != 0) {
+        std::uint32_t& id = lane_of[static_cast<std::size_t>(i) * p + m];
+        if (id != kNoLane) {
+          id = num_lanes++;
           senders_of[m].push_back(i);
           masters_of[i].push_back(m);
         }
       }
     }
   }
+  auto lane_id = [&](PartitionId mirror, PartitionId master) {
+    return lane_of[static_cast<std::size_t>(mirror) * p + master];
+  };
+  // Lane buffers keep their capacity across supersteps; their contents
+  // never outlive one (every lane is drained before the barrier).
+  std::vector<Lane> up(num_lanes);
+  std::vector<Lane> down(num_lanes);
 
   // --- Per-worker state (resident regardless of the budget: O(Σ|Vi|),
   // the same order as the routing tables) ------------------------------
@@ -243,41 +266,10 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     }
   });
 
-  // Mailboxes: to_master[j] / to_mirror[j] hold messages addressed to
-  // worker j. File overflow engages only under a bounded budget with a
-  // spill directory; combining keeps the to-master boxes in memory
-  // (their pending messages must stay rewritable, and combining itself
-  // bounds them at one entry per replicated vertex). The async mode arms
-  // the bounded ring channel as the concurrent push path.
-  std::vector<MsgBox> to_master(p);
-  std::vector<MsgBox> to_mirror(p);
-  if (bounded && !options_.spill_dir.empty()) {
-    const std::string prefix =
-        options_.spill_dir + "/ebv-mbox." + process_unique_suffix() + ".";
-    for (PartitionId j = 0; j < p; ++j) {
-      if (!options_.combine_messages) {
-        to_master[j].configure(prefix + "ma" + std::to_string(j) + ".tmp",
-                               options_.mailbox_buffer_messages);
-      }
-      to_mirror[j].configure(prefix + "mi" + std::to_string(j) + ".tmp",
-                             options_.mailbox_buffer_messages);
-    }
-  }
-  if (async) {
-    for (PartitionId j = 0; j < p; ++j) {
-      to_master[j].enable_channel(kChannelCapacity);
-      to_mirror[j].enable_channel(kChannelCapacity);
-    }
-  }
-  // Combining state: pending[j] maps a global vertex to its message's
-  // index in to_master[j]'s buffer for the current superstep.
-  std::vector<std::unordered_map<VertexId, std::size_t>> pending(
-      options_.combine_messages ? p : 0);
-
   // Program-defined per-worker scratch, persistent across supersteps.
   std::vector<std::any> worker_state(p);
-  // Staged master broadcasts: filled by merge(m), shipped by the strict
-  // broadcast chain (async ships inline and leaves these empty).
+  // Staged master broadcasts: filled by merge(m), shipped by
+  // broadcast(m).
   std::vector<std::vector<WireMessage>> bcast(p);
 
   RunStats stats;
@@ -315,14 +307,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     ck.values = values;
     ck.last_sync = last_sync;
     ck.updated = updated;
-    ck.to_master.resize(p);
-    ck.to_mirror.resize(p);
-    for (PartitionId j = 0; j < p; ++j) {
-      to_master[j].for_each(
-          [&](const WireMessage& msg) { ck.to_master[j].push_back(msg); });
-      to_mirror[j].for_each(
-          [&](const WireMessage& msg) { ck.to_mirror[j].push_back(msg); });
-    }
     return ck;
   };
 
@@ -362,12 +346,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         values[i] = std::move(ck->values[i]);
         last_sync[i] = std::move(ck->last_sync[i]);
         updated[i] = std::move(ck->updated[i]);
-        for (const WireMessage& msg : ck->to_master[i]) {
-          to_master[i].push_serial(msg);
-        }
-        for (const WireMessage& msg : ck->to_mirror[i]) {
-          to_mirror[i].push_serial(msg);
-        }
       }
       if (start_step > 0) {
         // Programs rebuild their per-worker scratch; the throwaway
@@ -404,26 +382,12 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       release_slot = &phase_accum.release;
     }
     std::vector<WorkerStepStats> step_stats(p);
-    // Per-sender counters, reduced after the graph drains. All are
-    // owner-indexed plain arrays ordered by task dependencies — except
-    // received, the one destination-indexed counter, which the async
-    // mode's concurrent routers bump atomically.
-    std::vector<std::uint64_t> msgs_local(p, 0);
-    std::vector<std::uint64_t> msgs_remote(p, 0);
-    std::vector<std::uint64_t> sent(p, 0);
+    // Owner-indexed counters: raw[i] is written only by route(i) and
+    // broadcast(i), changed[i] only by worker i's compute, merge and
+    // install — each set ordered by task dependencies. Wire counts live
+    // on the lanes and are reduced at the barrier.
     std::vector<std::uint64_t> raw(p, 0);
-    std::vector<std::atomic<std::uint64_t>> received(p);
     std::vector<std::uint8_t> changed(p, 0);
-
-    auto count_send = [&](PartitionId from, PartitionId to) {
-      ++sent[from];
-      received[to].fetch_add(1, std::memory_order_relaxed);
-      if (cost.same_node(from, to)) {
-        ++msgs_local[from];
-      } else {
-        ++msgs_remote[from];
-      }
-    };
 
     // --- Task bodies ---------------------------------------------------
     // compute(i): the program's local compute plus the worker-local half
@@ -459,10 +423,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       // Master replicas keep has_acc set; consumed by merge(i).
     };
 
-    // route(i): ship mirror accumulators to their master parts. Strict
-    // mode runs these on an ascending ordering chain so every to-master
-    // mailbox sees the historical append order; async folds the routing
-    // into compute(i) and pushes through the concurrent path.
+    // route(i): ship mirror accumulators to their masters' lanes.
     auto route_worker = [&](PartitionId i) {
       const obs::trace::Span span("route", i);
       const PhaseTimer phase(options_.phase_stats ? &phase_accum.route
@@ -470,35 +431,16 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       const LocalSubgraph& ls = sub(i);
       for (const VertexId lv : emitted[i]) {
         if (ls.is_replicated[lv] == 0 || ls.is_master[lv] != 0) continue;
-        const PartitionId m = ls.master_part[lv];
-        const VertexId gv = ls.global_ids[lv];
         ++raw[i];
-        bool enqueue = true;
-        if (options_.combine_messages) {
-          // A message for gv already pending at m? Merge into it.
-          const auto [it, inserted] =
-              pending[m].try_emplace(gv, to_master[m].buffer().size());
-          if (!inserted) {
-            WireMessage& msg = to_master[m].buffer()[it->second];
-            msg.value = program.combine(msg.value, acc[i][lv]);
-            enqueue = false;
-          }
-        }
-        if (enqueue) {
-          if (async) {
-            to_master[m].push_concurrent({gv, acc[i][lv]});
-          } else {
-            to_master[m].push_serial({gv, acc[i][lv]});
-          }
-          count_send(i, m);
-        }
+        up[lane_id(i, ls.master_part[lv])].push(
+            {ls.global_ids[lv], acc[i][lv]});
         has_acc[i][lv] = 0;
       }
     };
 
     // broadcast(m): ship the values staged by merge(m) to every mirror
-    // peer. Strict mode runs these on their own ascending chain, gated
-    // behind the route chain so the two never interleave counter writes.
+    // peer's lane. Needs no residency: it reads only bcast[m] and the
+    // graph-level routing tables.
     auto broadcast_worker = [&](PartitionId m) {
       const obs::trace::Span span("broadcast", m);
       const PhaseTimer phase(options_.phase_stats ? &phase_accum.broadcast
@@ -507,25 +449,21 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         for (const PartitionId peer : graph.parts_of(msg.global)) {
           if (peer == m) continue;
           ++raw[m];
-          if (async) {
-            to_mirror[peer].push_concurrent(msg);
-          } else {
-            to_mirror[peer].push_serial(msg);
-          }
-          count_send(m, peer);
+          down[lane_id(peer, m)].push(msg);
         }
       }
       bcast[m].clear();
     };
 
-    // merge(m): fold routed messages into the master's accumulators,
-    // apply, and stage broadcasts for changed values.
+    // merge(m): fold routed messages into the master's accumulators in
+    // ascending sender order, apply, and stage broadcasts for changed
+    // values.
     auto merge_worker = [&](PartitionId m) {
       const obs::trace::Span span("merge", m);
       const PhaseTimer phase(options_.phase_stats ? &phase_accum.merge
                                                   : nullptr);
       const LocalSubgraph& ls = sub(m);
-      to_master[m].drain([&](const WireMessage& msg) {
+      auto fold = [&](const WireMessage& msg) {
         const VertexId lv = ls.local_of(msg.global);
         EBV_ASSERT(lv != kInvalidVertex);
         EBV_ASSERT(ls.is_master[lv] != 0);
@@ -536,8 +474,32 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
           has_acc[m][lv] = 1;
           emitted[m].push_back(lv);
         }
-      });
-      if (options_.combine_messages) pending[m].clear();
+      };
+      // With combining, same-vertex messages fold into the first
+      // arrival's value before reaching the accumulator, and each
+      // absorbed message leaves its sender's wire count.
+      std::vector<WireMessage> combined;
+      std::unordered_map<VertexId, std::size_t> slot;
+      for (const PartitionId s : senders_of[m]) {
+        Lane& lane = up[lane_id(s, m)];
+        for (const WireMessage& msg : lane.msgs) {
+          if (!options_.combine_messages) {
+            fold(msg);
+            continue;
+          }
+          const auto [it, inserted] =
+              slot.try_emplace(msg.global, combined.size());
+          if (inserted) {
+            combined.push_back(msg);
+            continue;
+          }
+          WireMessage& first = combined[it->second];
+          first.value = program.combine(first.value, msg.value);
+          --lane.count;
+        }
+        lane.msgs.clear();
+      }
+      for (const WireMessage& msg : combined) fold(msg);
 
       for (const VertexId lv : emitted[m]) {
         if (has_acc[m][lv] == 0) continue;  // already resolved in compute
@@ -561,30 +523,40 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         bcast[m].push_back({ls.global_ids[lv], next});
       }
       emitted[m].clear();
-      if (async) broadcast_worker(m);
     };
 
-    // install(i): mirrors adopt broadcast values.
+    // install(i): mirrors adopt broadcast values, in ascending master
+    // order.
     auto install_worker = [&](PartitionId i) {
       const obs::trace::Span span("install", i);
       const PhaseTimer phase(options_.phase_stats ? &phase_accum.install
                                                   : nullptr);
       const LocalSubgraph& ls = sub(i);
-      to_mirror[i].drain([&](const WireMessage& msg) {
-        const VertexId lv = ls.local_of(msg.global);
-        EBV_ASSERT(lv != kInvalidVertex);
-        last_sync[i][lv] = msg.value;
-        if (values[i][lv] != msg.value) {
-          values[i][lv] = msg.value;
-          updated[i].push_back(lv);
-          changed[i] = 1;
+      for (const PartitionId m : masters_of[i]) {
+        Lane& lane = down[lane_id(i, m)];
+        for (const WireMessage& msg : lane.msgs) {
+          const VertexId lv = ls.local_of(msg.global);
+          EBV_ASSERT(lv != kInvalidVertex);
+          last_sync[i][lv] = msg.value;
+          if (values[i][lv] != msg.value) {
+            values[i][lv] = msg.value;
+            updated[i].push_back(lv);
+            changed[i] = 1;
+          }
         }
-      });
+        lane.msgs.clear();
+      }
       emitted[i].clear();  // all consumed (mirrors cleared acc in route)
     };
 
     // --- Superstep task graph ------------------------------------------
-    // Three phases (compute+route, merge+broadcast, install), each with
+    // Per worker: C(i) compute → R(i) route; M(m) merge waits for R(m)
+    // and every sender's R(s); B(m) broadcast → I(i) install, which
+    // waits for M(i) and every master's B(m). Each lane has one writer
+    // (R or B) ordered before its one reader (M or I), so no task ever
+    // waits on a peer it does not exchange messages with.
+    //
+    // Three residency phases (compute+route, merge, install), each with
     // optional per-group loader/release tasks under a binding budget.
     // The loads form one global chain across the phases (L1[0..],
     // L2[0..], L3[0..]) and so do the releases (Rel1[0..], Rel2[0..],
@@ -603,16 +575,13 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     const std::size_t overlap = prefetch ? 2 : 1;
     TaskGraph tg;
     constexpr TaskGraph::TaskId kNone = TaskGraph::kNone;
-    std::vector<TaskGraph::TaskId> C(p), M(p), I(p);
-    std::vector<TaskGraph::TaskId> R(async ? 0 : p);
-    std::vector<TaskGraph::TaskId> B(async ? 0 : p);
+    std::vector<TaskGraph::TaskId> C(p), R(p), M(p), B(p), I(p);
     std::vector<TaskGraph::TaskId> L1(ng, kNone), Rel1(ng, kNone);
     std::vector<TaskGraph::TaskId> L2(ng, kNone), Rel2(ng, kNone);
     std::vector<TaskGraph::TaskId> L3(ng, kNone), Rel3(ng, kNone);
     TaskGraph::TaskId prev_rel = kNone;  // release-chain tail
 
     // Phase 1: load(csr) → compute (+ local resolve) → route → release.
-    TaskGraph::TaskId prev_r = kNone;
     for (std::size_t g = 0; g < ng; ++g) {
       const Group grp = groups[g];
       if (with_loads) {
@@ -622,32 +591,23 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
              g >= overlap ? Rel1[g - overlap] : kNone});
       }
       for (PartitionId i = grp.first; i < grp.last; ++i) {
-        C[i] = tg.add(
-            [&, i] {
-              compute_worker(i);
-              if (async) route_worker(i);
-            },
-            {L1[g]});
-        if (!async) {
-          R[i] = tg.add([&, i] { route_worker(i); }, {C[i], prev_r});
-          prev_r = R[i];
-        }
+        C[i] = tg.add([&, i] { compute_worker(i); }, {L1[g]});
+        R[i] = tg.add([&, i] { route_worker(i); }, {C[i]});
       }
       if (with_loads) {
         Rel1[g] = tg.add([&, grp] { release(grp.first, grp.last); },
                          {prev_rel});
         for (PartitionId i = grp.first; i < grp.last; ++i) {
-          tg.depend(Rel1[g], async ? C[i] : R[i]);
+          tg.depend(Rel1[g], R[i]);
         }
         prev_rel = Rel1[g];
       }
     }
 
-    // Phase 2: load → merge (+ async broadcast) → release; strict
-    // broadcast chain gated behind the full route chain. Each load
-    // carries an explicit release-before-reload edge on its own group's
-    // phase-1 release (also implied by the chain — kept direct so the
-    // correctness invariant survives future overlap changes).
+    // Phase 2: load → merge → release, with broadcast(m) after merge(m).
+    // Each load carries an explicit release-before-reload edge on its own
+    // group's phase-1 release (also implied by the chain — kept direct so
+    // the correctness invariant survives future overlap changes).
     for (std::size_t g = 0; g < ng; ++g) {
       const Group grp = groups[g];
       if (with_loads) {
@@ -657,18 +617,9 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
              g >= overlap ? Rel2[g - overlap] : Rel1[ng - overlap + g]});
       }
       for (PartitionId m = grp.first; m < grp.last; ++m) {
-        M[m] = tg.add([&, m] { merge_worker(m); }, {L2[g]});
-        if (async) {
-          tg.depend(M[m], C[m]);
-          for (const PartitionId s : senders_of[m]) tg.depend(M[m], C[s]);
-        } else {
-          // Senders never exceed max(m, last sender), and the route
-          // chain is ascending, so one dependency covers them all (plus
-          // compute(m)'s own state, via R(m) ⊆ the chain).
-          tg.depend(M[m], senders_of[m].empty()
-                              ? R[m]
-                              : R[std::max(m, senders_of[m].back())]);
-        }
+        M[m] = tg.add([&, m] { merge_worker(m); }, {L2[g], R[m]});
+        for (const PartitionId s : senders_of[m]) tg.depend(M[m], R[s]);
+        B[m] = tg.add([&, m] { broadcast_worker(m); }, {M[m]});
       }
       if (with_loads) {
         Rel2[g] = tg.add([&, grp] { release(grp.first, grp.last); },
@@ -677,16 +628,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
           tg.depend(Rel2[g], M[m]);
         }
         prev_rel = Rel2[g];
-      }
-    }
-    if (!async) {
-      // broadcast(m) reads only bcast[m] and graph-level routing tables,
-      // so it needs no residency; B(0) waits for the whole route chain
-      // so the two serial chains never interleave.
-      TaskGraph::TaskId prev_b = R[p - 1];
-      for (PartitionId m = 0; m < p; ++m) {
-        B[m] = tg.add([&, m] { broadcast_worker(m); }, {M[m], prev_b});
-        prev_b = B[m];
       }
     }
 
@@ -700,15 +641,8 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
              g >= overlap ? Rel3[g - overlap] : Rel2[ng - overlap + g]});
       }
       for (PartitionId i = grp.first; i < grp.last; ++i) {
-        I[i] = tg.add([&, i] { install_worker(i); }, {L3[g]});
-        if (async) {
-          tg.depend(I[i], M[i]);
-          for (const PartitionId m2 : masters_of[i]) tg.depend(I[i], M[m2]);
-        } else {
-          tg.depend(I[i], masters_of[i].empty()
-                              ? B[i]
-                              : B[std::max(i, masters_of[i].back())]);
-        }
+        I[i] = tg.add([&, i] { install_worker(i); }, {L3[g], M[i]});
+        for (const PartitionId m : masters_of[i]) tg.depend(I[i], B[m]);
       }
       if (with_loads) {
         Rel3[g] = tg.add([&, grp] { release(grp.first, grp.last); },
@@ -740,12 +674,28 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     }
 
     // --- Stage 3: synchronisation (reduction + accounting) --------------
+    std::vector<std::uint64_t> sent(p, 0);
+    std::vector<std::uint64_t> received(p, 0);
+    std::vector<std::uint64_t> msgs_local(p, 0);
+    std::vector<std::uint64_t> msgs_remote(p, 0);
+    auto count_lane = [&](PartitionId from, PartitionId to, Lane& lane) {
+      sent[from] += lane.count;
+      received[to] += lane.count;
+      (cost.same_node(from, to) ? msgs_local : msgs_remote)[from] +=
+          lane.count;
+      lane.count = 0;
+    };
+    for (PartitionId i = 0; i < p; ++i) {
+      for (const PartitionId m : masters_of[i]) {
+        count_lane(i, m, up[lane_id(i, m)]);
+        count_lane(m, i, down[lane_id(i, m)]);
+      }
+    }
     bool any_change = false;
     for (PartitionId i = 0; i < p; ++i) {
       if (changed[i] != 0) any_change = true;
       step_stats[i].messages_sent = sent[i];
-      step_stats[i].messages_received =
-          received[i].load(std::memory_order_relaxed);
+      step_stats[i].messages_received = received[i];
       stats.messages_sent_per_worker[i] += sent[i];
       stats.total_messages += sent[i];
       stats.raw_messages += raw[i];

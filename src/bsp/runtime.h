@@ -16,17 +16,18 @@
 //
 // Residency: with RunOptions::resident_workers = k < p the runtime holds
 // at most k materialised worker subgraphs at a time (loading them from a
-// spilled DistributedGraph's EBVW snapshot), parking inter-group messages
-// in spillable mailboxes — same results, bounded memory.
+// spilled DistributedGraph's EBVW snapshot) — same results, bounded
+// memory.
 //
-// Scheduling: each superstep is a per-worker task graph — compute+route,
-// master-merge, mirror-install, plus loader/release tasks that prefetch
-// the next residency group while the current one computes — executed by
-// a work-stealing scheduler (common/task_graph.h). The default strict
-// mode serialises mailbox appends on deterministic ordering chains, so
-// supersteps, messages, values and virtual time are bit-identical to the
-// historical three-sweep schedule at every budget; the opt-in async mode
-// relaxes the ordering (docs/ARCHITECTURE.md, "Task-graph scheduler").
+// Scheduling: each superstep is one per-worker task graph — compute,
+// route, master-merge, broadcast and mirror-install, plus loader/release
+// tasks that prefetch the next residency group while the current one
+// computes — executed by a work-stealing scheduler (common/task_graph.h).
+// Messages travel on per-(sender, receiver) lanes with one writer task
+// and one reader task each; a reader drains its lanes in ascending peer
+// order, so supersteps, messages, values and virtual time are
+// bit-identical under every budget, team size and steal schedule
+// (docs/ARCHITECTURE.md, "The task-graph superstep scheduler").
 #pragma once
 
 #include <any>
@@ -100,9 +101,7 @@ class SubgraphProgram {
 /// Per-superstep real-time attribution across the scheduler's task
 /// kinds, summed over all workers (RunOptions::phase_stats; diagnostic
 /// only — real seconds, not the virtual-time cost model, and never part
-/// of the bit-identity contract). In async mode the phases nest: route
-/// runs inside the compute task and broadcast inside merge, so their
-/// seconds are counted in both rows.
+/// of the bit-identity contract).
 struct PhaseWallStats {
   double compute_seconds = 0.0;
   double route_seconds = 0.0;
@@ -174,27 +173,6 @@ struct RunStats {
 /// on multi-core hosts.
 enum class ExecutionPolicy { kSequential, kParallel };
 
-/// How the superstep task graph orders communication.
-enum class SchedulerMode {
-  /// Mirror routing and master broadcasts run on deterministic ordering
-  /// chains (ascending worker id), so every mailbox's append order — and
-  /// therefore the master's fold order — matches the historical sweep
-  /// schedule exactly. Results are bit-identical at every residency
-  /// budget and thread count. The default.
-  kStrict,
-  /// Relaxed ordering: routing, merges and installs run concurrently,
-  /// with dependencies derived from the routing tables (a master merges
-  /// once all its senders routed; a mirror installs once all its masters
-  /// merged), so no message is lost or deferred — the relaxation is the
-  /// ARRIVAL ORDER within a mailbox, not delivery. Superstep counts,
-  /// message counts and virtual time are unchanged; programs whose
-  /// combine() is order-insensitive over doubles (min/max: CC, SSSP,
-  /// BFS) produce bit-identical values, while float sums (PageRank) may
-  /// differ in final bits. Rejected with combine_messages (combining
-  /// decisions depend on arrival order).
-  kAsync,
-};
-
 /// Runtime options.
 struct RunOptions {
   ClusterCostModel cost_model;
@@ -205,49 +183,38 @@ struct RunOptions {
   /// PartitionConfig::num_threads: the knob bounds the fan-out exactly,
   /// the shared pool only carries the ranks). 0 = use the whole pool.
   std::uint32_t num_threads = 0;
-  /// Superstep ordering; see SchedulerMode. Results under kStrict (the
-  /// default) are independent of policy/num_threads/prefetch.
-  SchedulerMode scheduler = SchedulerMode::kStrict;
   /// Under a bounded residency budget of k >= 2, shrink the residency
   /// groups to ⌊k/2⌋ so a loader task maps group g+1's EBVW sections
   /// while group g computes — double buffering, with current + next
   /// group together still inside the budget. Results are bit-identical
-  /// either way: the strict contract holds for every budget, hence for
-  /// every grouping; the knob only trades group granularity for
-  /// compute/I-O overlap.
+  /// either way (they are pinned for every budget, hence for every
+  /// grouping); the knob only trades group granularity for compute/I-O
+  /// overlap.
   bool prefetch = true;
 
   /// Residency budget: at most this many workers' subgraphs materialised
   /// at a time. 0 (or >= p) keeps everything resident — the exact
   /// pre-existing behaviour. With a budget of k < p each superstep's
   /// task graph gates compute/merge/install tasks on per-group loader
-  /// and release tasks (at most k workers materialised; see prefetch),
-  /// with inter-group messages parked in mailboxes until the
-  /// destination becomes resident. Supersteps,
-  /// message counts, final values and virtual-time accounting are
-  /// BIT-IDENTICAL for every budget. Only a spilled DistributedGraph
-  /// actually frees memory; a resident one just runs the same schedule.
+  /// and release tasks (at most k workers materialised; see prefetch).
+  /// Supersteps, message counts, final values and virtual-time
+  /// accounting are BIT-IDENTICAL for every budget. Only a spilled
+  /// DistributedGraph actually frees memory; a resident one just runs
+  /// the same schedule.
   std::uint32_t resident_workers = 0;
 
-  /// Directory for runtime spill state: destination mailboxes that
-  /// outgrow mailbox_buffer_messages overflow to append-only files here
-  /// (created lazily, removed when drained). Empty = mailboxes stay
-  /// fully in memory. Also doubles as the analysis drivers' home for the
-  /// EBVW worker snapshot (see analysis::run_with_partition).
+  /// Home of the EBVW worker snapshot that the analysis drivers spill
+  /// to under a binding budget (see analysis::run_with_partition); the
+  /// runtime itself writes nothing here. Empty = the system temp dir.
   std::string spill_dir;
-
-  /// In-memory bound per destination mailbox before overflowing to a
-  /// spill file (needs spill_dir and a bounded residency budget;
-  /// otherwise mailboxes simply grow).
-  std::uint64_t mailbox_buffer_messages = 1u << 15;
 
   /// Crash consistency: when non-empty (and checkpoint_every > 0) the
   /// runtime serialises an EBVC checkpoint of the superstep cut into
   /// this directory at the configured cadence — per-worker values,
-  /// last-synced values, update frontier, undrained mailbox contents and
-  /// accumulated RunStats — under an atomic temp-fsync-rename protocol
-  /// (bsp/checkpoint.h). Never written after the final superstep, so a
-  /// resumed run never replays past convergence.
+  /// last-synced values, update frontier and accumulated RunStats —
+  /// under an atomic temp-fsync-rename protocol (bsp/checkpoint.h).
+  /// Never written after the final superstep, so a resumed run never
+  /// replays past convergence.
   std::string checkpoint_dir;
 
   /// Checkpoint cadence in supersteps; 0 disables checkpointing.
@@ -257,7 +224,7 @@ struct RunOptions {
   /// (scanning back past torn files; starting from scratch when none is
   /// readable). The resumed run is BIT-IDENTICAL to the uninterrupted
   /// one — values, supersteps, message counts, virtual time — at every
-  /// resident_workers × prefetch × scheduler combination. Rejects a
+  /// resident_workers × prefetch × team-size combination. Rejects a
   /// checkpoint whose graph shape or program name does not match.
   bool resume = false;
 
@@ -267,13 +234,14 @@ struct RunOptions {
   /// results are unchanged either way — the breakdown is additive.
   bool phase_stats = false;
 
-  /// Opt-in combining: merge same-destination-vertex mirror→master
-  /// messages with the program's combine() before enqueue, PowerGraph
-  /// style. Default off, so Table-IV-style message counts are unchanged;
-  /// RunStats::raw_messages reports the pre-combining count either way.
-  /// Combining changes the master's fold order, so float-summing
-  /// programs (PageRank) may differ in final bits from the uncombined
-  /// run; min/max programs (CC, SSSP, BFS) do not.
+  /// Opt-in combining: same-vertex mirror→master messages are folded
+  /// with the program's combine() in first-arrival order before they
+  /// reach the master's accumulator, and count as one wire message,
+  /// PowerGraph style. Default off, so Table-IV-style message counts are
+  /// unchanged; RunStats::raw_messages reports the pre-combining count
+  /// either way. Combining changes the master's fold order, so
+  /// float-summing programs (PageRank) may differ in final bits from the
+  /// uncombined run; min/max programs (CC, SSSP, BFS) do not.
   bool combine_messages = false;
 };
 

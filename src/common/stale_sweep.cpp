@@ -41,7 +41,7 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 }  // namespace
 
 std::optional<long> temp_file_owner_pid(const std::string& file_name) {
-  // Mailbox overflow: ebv-mbox.<pid>-<n>.<chan>.tmp
+  // Mailbox overflow files of older binaries: ebv-mbox.<pid>-<n>.<chan>.tmp
   if (file_name.rfind("ebv-mbox.", 0) == 0 && ends_with(file_name, ".tmp")) {
     const std::size_t start = std::string("ebv-mbox.").size();
     const std::size_t end = file_name.find('.', start);

@@ -23,6 +23,7 @@
 // still drains the graph) and the first exception is rethrown.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -101,7 +102,7 @@ class BoundedChannel {
     MutexLock lock(mu_);
     if (closed_ || size_ == capacity_) return false;
     buf_[(head_ + size_) % capacity_] = v;
-    ++size_;
+    high_water_ = std::max(high_water_, ++size_);
     not_empty_.notify_one();
     return true;
   }
@@ -112,7 +113,7 @@ class BoundedChannel {
     while (!closed_ && size_ == capacity_) not_full_.wait(mu_);
     if (closed_) return false;
     buf_[(head_ + size_) % capacity_] = v;
-    ++size_;
+    high_water_ = std::max(high_water_, ++size_);
     not_empty_.notify_one();
     return true;
   }
@@ -182,6 +183,12 @@ class BoundedChannel {
     MutexLock lock(mu_);
     return closed_;
   }
+  /// Largest size() ever observed, recorded under the lock by every
+  /// successful push, so it can never exceed capacity().
+  [[nodiscard]] std::size_t high_water() const EBV_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return high_water_;
+  }
 
  private:
   mutable Mutex mu_;
@@ -191,6 +198,7 @@ class BoundedChannel {
   std::vector<T> buf_ EBV_GUARDED_BY(mu_);
   std::size_t head_ EBV_GUARDED_BY(mu_) = 0;
   std::size_t size_ EBV_GUARDED_BY(mu_) = 0;
+  std::size_t high_water_ EBV_GUARDED_BY(mu_) = 0;
   bool closed_ EBV_GUARDED_BY(mu_) = false;
 };
 

@@ -2,7 +2,7 @@
 // checkpoint round-trips bit-for-bit, a run killed at the superstep
 // boundary and resumed finishes BIT-IDENTICAL to the uninterrupted run
 // (values, supersteps, message counts, virtual time) at every
-// resident_workers × prefetch × strict/async combination, corruption at
+// resident_workers × prefetch × team-size combination, corruption at
 // any byte is detected cleanly and falls back to the previous
 // checkpoint, and the durable-write protocol never publishes partial
 // state or leaks temp files — even under injected write failures.
@@ -108,8 +108,8 @@ bool any_temp_file_in(const std::string& dir) {
 }
 
 /// A small synthetic checkpoint exercising every section: two workers of
-/// different sizes, odd frontier counts (alignment padding), undrained
-/// mailbox messages on both channels, and two supersteps of stats.
+/// different sizes, odd frontier counts (alignment padding), and two
+/// supersteps of stats.
 Checkpoint make_checkpoint(std::uint32_t completed) {
   Checkpoint c;
   c.completed_supersteps = completed;
@@ -138,8 +138,6 @@ Checkpoint make_checkpoint(std::uint32_t completed) {
   c.values = {{1.0, 2.0, 4.0}, {3.0}};
   c.last_sync = {{1.0, 2.5, 4.0}, {3.5}};
   c.updated = {{0, 2, 1}, {0}};  // odd count: exercises 8-byte padding
-  c.to_master = {{{4, 0.5}}, {}};
-  c.to_mirror = {{}, {{2, 0.75}, {3, 0.25}, {1, 0.125}}};
   return c;
 }
 
@@ -172,20 +170,6 @@ void expect_checkpoints_equal(const Checkpoint& a, const Checkpoint& b) {
   EXPECT_EQ(a.values, b.values);
   EXPECT_EQ(a.last_sync, b.last_sync);
   EXPECT_EQ(a.updated, b.updated);
-  ASSERT_EQ(a.to_master.size(), b.to_master.size());
-  ASSERT_EQ(a.to_mirror.size(), b.to_mirror.size());
-  for (std::size_t i = 0; i < a.to_master.size(); ++i) {
-    ASSERT_EQ(a.to_master[i].size(), b.to_master[i].size());
-    for (std::size_t m = 0; m < a.to_master[i].size(); ++m) {
-      EXPECT_EQ(a.to_master[i][m].global, b.to_master[i][m].global);
-      EXPECT_EQ(a.to_master[i][m].value, b.to_master[i][m].value);
-    }
-    ASSERT_EQ(a.to_mirror[i].size(), b.to_mirror[i].size());
-    for (std::size_t m = 0; m < a.to_mirror[i].size(); ++m) {
-      EXPECT_EQ(a.to_mirror[i][m].global, b.to_mirror[i][m].global);
-      EXPECT_EQ(a.to_mirror[i][m].value, b.to_mirror[i][m].value);
-    }
-  }
 }
 
 TEST(CheckpointFormat, FileNameIsZeroPadded) {
@@ -261,6 +245,43 @@ TEST(CheckpointFormat, RejectsCorruptionAtEveryProbedByte) {
   // The pristine file still parses after all that.
   expect_checkpoints_equal(bsp::read_checkpoint_file(path),
                            make_checkpoint(3));
+}
+
+TEST(CheckpointFormat, VersionOneFileIsRejectedAndSkipped) {
+  // Version 1 carried undrained-mailbox arrays. A v1 file with a valid
+  // checksum must fail the version check, and resume must fall back to
+  // the newest readable predecessor as it does for any unreadable file.
+  const std::string dir = fresh_dir("ckpt_v1");
+  bsp::write_checkpoint(dir, make_checkpoint(1));
+  const std::string newest = bsp::write_checkpoint(dir, make_checkpoint(2));
+  {
+    std::ifstream in(newest, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    in.close();
+    bytes[4] = 1;  // u32 version, little-endian
+    std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a-64 over [0, size-8)
+    for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
+      h ^= static_cast<unsigned char>(bytes[i]);
+      h *= 0x100000001b3ull;
+    }
+    for (std::size_t b = 0; b < 8; ++b) {
+      bytes[bytes.size() - 8 + b] = static_cast<char>(h >> (8 * b));
+    }
+    std::ofstream out(newest, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  try {
+    (void)bsp::read_checkpoint_file(newest);
+    FAIL() << "expected the v1 file to be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto latest = bsp::load_latest_checkpoint(dir);
+  ASSERT_TRUE(latest.has_value());
+  expect_checkpoints_equal(*latest, make_checkpoint(1));
 }
 
 TEST(CheckpointFormat, TornNewestFallsBackToPredecessor) {
@@ -343,7 +364,7 @@ TEST(CheckpointFormat, RejectsMalformedShapes) {
 struct ResumeCase {
   analysis::App app;
   std::uint32_t resident_workers;  // 0 = all resident
-  bool async;
+  bool team;                       // a 4-thread work-stealing team
   bool prefetch;
   std::string tag;  // unique checkpoint/spill scratch name
 };
@@ -356,8 +377,7 @@ TEST_P(ResumeMatrix, KilledAndResumedRunIsBitIdentical) {
   base.resident_workers = c.resident_workers;
   base.prefetch = c.prefetch;
   if (c.resident_workers > 0) base.spill_dir = fresh_dir("spill_" + c.tag);
-  if (c.async) {
-    base.scheduler = bsp::SchedulerMode::kAsync;
+  if (c.team) {
     base.policy = bsp::ExecutionPolicy::kParallel;
     base.num_threads = 4;
   }
@@ -390,13 +410,14 @@ INSTANTIATE_TEST_SUITE_P(
         ResumeCase{analysis::App::kCC, 1, false, true, "cc_k1"},
         ResumeCase{analysis::App::kCC, 3, false, false, "cc_k3_nopf"},
         ResumeCase{analysis::App::kCC, 6, false, true, "cc_kp"},
-        ResumeCase{analysis::App::kCC, 3, true, true, "cc_k3_async"},
+        ResumeCase{analysis::App::kCC, 3, true, true, "cc_k3_team"},
         ResumeCase{analysis::App::kPageRank, 0, false, true, "pr_resident"},
         ResumeCase{analysis::App::kPageRank, 1, false, true, "pr_k1"},
         ResumeCase{analysis::App::kPageRank, 3, false, true, "pr_k3"},
+        ResumeCase{analysis::App::kPageRank, 3, true, true, "pr_k3_team"},
         ResumeCase{analysis::App::kSssp, 0, false, true, "sssp_resident"},
         ResumeCase{analysis::App::kSssp, 3, false, true, "sssp_k3"},
-        ResumeCase{analysis::App::kSssp, 1, true, true, "sssp_k1_async"}),
+        ResumeCase{analysis::App::kSssp, 1, true, true, "sssp_k1_team"}),
     [](const testing::TestParamInfo<ResumeCase>& i) { return i.param.tag; });
 
 TEST(CheckpointResume, EmptyDirStartsFromScratchAndStaysIdentical) {

@@ -270,55 +270,6 @@ TEST(FailpointInjection, SnapshotWriteErrorRemovesPartialEbvs) {
   EXPECT_EQ(mapped.view().num_vertices(), g.num_vertices());
 }
 
-TEST(FailpointInjection, MailboxAppendErrorCleansUpAndNamesTheFlag) {
-  const std::string spill = fresh_dir("fp_mbox_append");
-  const Graph& g = powerlaw_graph();
-  const EdgePartition partition = ebv_partition(g, 8);
-  const DistributedGraph spilled(
-      g, partition, {.spill_path = spill + "/workers.ebvw"});
-  const apps::ConnectedComponents cc;
-  RunOptions options;
-  options.resident_workers = 2;
-  options.spill_dir = spill;
-  options.mailbox_buffer_messages = 1;  // every parked message hits a file
-  const ScopedFailpoints fp("mailbox.append=err@4");
-  try {
-    (void)BspRuntime(options).run(spilled, cc);
-    FAIL() << "expected the injected mailbox append error to surface";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("--spill-dir"), std::string::npos)
-        << e.what();
-  }
-  // Unwinding destroyed every mailbox: no overflow file survives.
-  for (const auto& name : files_in(spill)) {
-    EXPECT_EQ(name.find("ebv-mbox."), std::string::npos) << name;
-  }
-}
-
-TEST(FailpointInjection, MailboxReadErrorCleansUpAndNamesTheFlag) {
-  const std::string spill = fresh_dir("fp_mbox_read");
-  const Graph& g = powerlaw_graph();
-  const EdgePartition partition = ebv_partition(g, 8);
-  const DistributedGraph spilled(
-      g, partition, {.spill_path = spill + "/workers.ebvw"});
-  const apps::ConnectedComponents cc;
-  RunOptions options;
-  options.resident_workers = 2;
-  options.spill_dir = spill;
-  options.mailbox_buffer_messages = 1;
-  const ScopedFailpoints fp("mailbox.read=shortread@2");
-  try {
-    (void)BspRuntime(options).run(spilled, cc);
-    FAIL() << "expected the injected mailbox read error to surface";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("--spill-dir"), std::string::npos)
-        << e.what();
-  }
-  for (const auto& name : files_in(spill)) {
-    EXPECT_EQ(name.find("ebv-mbox."), std::string::npos) << name;
-  }
-}
-
 TEST(FailpointInjection, RunIsUnperturbedPastTheInjectionWindow) {
   // A transient window that never triggers (hit 10^6) must not move a
   // bit — the instrumented sites cost nothing when armed-but-missed.

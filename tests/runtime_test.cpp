@@ -4,7 +4,10 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
+#include "apps/cc.h"
+#include "apps/pagerank.h"
 #include "bsp/runtime.h"
 #include "graph/generators.h"
 #include "partition/registry.h"
@@ -300,37 +303,63 @@ TEST(Runtime, ZeroWorkersPerNodeIsRejectedAtRunEntry) {
                std::invalid_argument);
 }
 
-TEST(Runtime, AsyncRejectsCombining) {
-  const Graph g = gen::erdos_renyi(20, 80, 13);
-  const DistributedGraph dist(g, round_robin(g, 2));
-  bsp::RunOptions opts;
-  opts.scheduler = bsp::SchedulerMode::kAsync;
-  opts.combine_messages = true;
-  EXPECT_THROW(BspRuntime(opts).run(dist, MaxOneHop()),
-               std::invalid_argument);
+TEST(Runtime, CombiningOnStealingTeamMatchesSequentialExactly) {
+  // Combining folds same-vertex messages in first-arrival order inside
+  // merge(m), over lanes drained in ascending sender order, so even a
+  // float-summing program (PageRank) must reproduce the sequential run
+  // bit-for-bit on a work-stealing team — values, counts, virtual time.
+  const Graph g = gen::chung_lu(600, 5000, 2.3, false, 22);
+  const DistributedGraph dist(g, round_robin(g, 6));
+  const apps::ConnectedComponents cc;
+  const apps::PageRank pr(g.num_vertices(), 10);
+  for (const bsp::SubgraphProgram* program :
+       {static_cast<const bsp::SubgraphProgram*>(&cc),
+        static_cast<const bsp::SubgraphProgram*>(&pr)}) {
+    bsp::RunOptions sequential;
+    sequential.combine_messages = true;
+    const RunStats base = BspRuntime(sequential).run(dist, *program);
+    EXPECT_LT(base.total_messages, base.raw_messages) << program->name();
+    for (int rep = 0; rep < 5; ++rep) {
+      bsp::RunOptions team = sequential;
+      team.policy = bsp::ExecutionPolicy::kParallel;
+      team.num_threads = 4;
+      const RunStats run = BspRuntime(team).run(dist, *program);
+      SCOPED_TRACE(program->name() + " rep " + std::to_string(rep));
+      EXPECT_EQ(run.supersteps, base.supersteps);
+      EXPECT_EQ(run.total_messages, base.total_messages);
+      EXPECT_EQ(run.raw_messages, base.raw_messages);
+      EXPECT_EQ(run.values, base.values);
+      EXPECT_EQ(run.execution_seconds, base.execution_seconds);
+      EXPECT_EQ(run.messages_sent_per_worker, base.messages_sent_per_worker);
+    }
+  }
 }
 
-TEST(Runtime, AsyncMatchesStrictExactlyForMaxCombine) {
-  // The async scheduler relaxes mailbox arrival order, not delivery, so
-  // an order-insensitive combine (max) must reproduce the strict run
-  // bit-for-bit: values, message counts, supersteps AND virtual time —
-  // sequentially and on a work-stealing team.
+TEST(Runtime, StealingTeamMatchesSequentialExactlyForFrontierOrderProgram) {
+  // MaxOneHop relaxes in place in frontier order, so any change in the
+  // order messages reach a worker would move values, message counts or
+  // supersteps. Lanes drained in ascending peer order must reproduce the
+  // sequential run bit-for-bit: values, message counts, supersteps AND
+  // virtual time — sequentially and on a work-stealing team.
   const Graph g = gen::chung_lu(400, 3000, 2.3, false, 21);
   const DistributedGraph dist(g, round_robin(g, 6));
-  const RunStats strict = BspRuntime().run(dist, MaxOneHop());
+  const RunStats sequential = BspRuntime().run(dist, MaxOneHop());
 
   for (const auto policy :
        {bsp::ExecutionPolicy::kSequential, bsp::ExecutionPolicy::kParallel}) {
-    bsp::RunOptions opts;
-    opts.scheduler = bsp::SchedulerMode::kAsync;
-    opts.policy = policy;
-    const RunStats async = BspRuntime(opts).run(dist, MaxOneHop());
-    EXPECT_EQ(async.supersteps, strict.supersteps);
-    EXPECT_EQ(async.total_messages, strict.total_messages);
-    EXPECT_EQ(async.raw_messages, strict.raw_messages);
-    EXPECT_EQ(async.values, strict.values);
-    EXPECT_EQ(async.execution_seconds, strict.execution_seconds);
-    EXPECT_EQ(async.messages_sent_per_worker, strict.messages_sent_per_worker);
+    for (int rep = 0; rep < 5; ++rep) {
+      bsp::RunOptions opts;
+      opts.policy = policy;
+      opts.num_threads = 4;
+      const RunStats run = BspRuntime(opts).run(dist, MaxOneHop());
+      EXPECT_EQ(run.supersteps, sequential.supersteps);
+      EXPECT_EQ(run.total_messages, sequential.total_messages);
+      EXPECT_EQ(run.raw_messages, sequential.raw_messages);
+      EXPECT_EQ(run.values, sequential.values);
+      EXPECT_EQ(run.execution_seconds, sequential.execution_seconds);
+      EXPECT_EQ(run.messages_sent_per_worker,
+                sequential.messages_sent_per_worker);
+    }
   }
 }
 

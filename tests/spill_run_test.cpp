@@ -2,9 +2,8 @@
 // DistributedSnapshot round-trips every LocalSubgraph bit-for-bit, and
 // the bounded-residency BSP scheduler (RunOptions::resident_workers)
 // produces supersteps, message counts, final values and virtual-time
-// accounting BIT-IDENTICAL to the all-resident path for every budget —
-// with and without subgraph spilling, with and without mailbox overflow
-// to files.
+// accounting BIT-IDENTICAL to the all-resident path for every budget,
+// with and without subgraph spilling, on any team size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -251,23 +250,6 @@ TEST(SpillRun, BoundedSchedulerOnResidentGraphIsIdentical) {
   }
 }
 
-TEST(SpillRun, MailboxFileOverflowIsIdentical) {
-  // A 1-message buffer forces every parked message through the
-  // append-only spill files.
-  const Graph& g = powerlaw_graph();
-  const EdgePartition partition = ebv_partition(g, 8);
-  const DistributedGraph resident(g, partition);
-  const apps::ConnectedComponents cc;
-  const RunStats base = BspRuntime().run(resident, cc);
-  const DistributedGraph spilled(
-      g, partition, {.spill_path = temp_path("overflow.ebvw")});
-  RunOptions options;
-  options.resident_workers = 2;
-  options.spill_dir = testing::TempDir();
-  options.mailbox_buffer_messages = 1;
-  expect_stats_identical(BspRuntime(options).run(spilled, cc), base);
-}
-
 TEST(SpillRun, ParallelPolicyMatchesSequentialUnderBudget) {
   const Graph& g = powerlaw_graph();
   const EdgePartition partition = ebv_partition(g, 8);
@@ -283,12 +265,12 @@ TEST(SpillRun, ParallelPolicyMatchesSequentialUnderBudget) {
                          BspRuntime(seq).run(spilled, cc));
 }
 
-TEST(SpillRun, StrictSchedulerBitIdenticalAcrossTeamAndPrefetch) {
-  // The work-stealing task graph in strict mode must not move a single
-  // bit relative to the all-resident sequential baseline — at every
-  // budget, with and without group prefetch, sequential and on a
-  // stealing team. (Prefetch halves the group size, so this also pins
-  // that regrouping is observation-free.)
+TEST(SpillRun, SchedulerBitIdenticalAcrossBudgetTeamAndPrefetch) {
+  // The work-stealing task graph must not move a single bit relative
+  // to the all-resident sequential baseline — at every budget, with and
+  // without group prefetch, sequential and on a stealing team.
+  // (Prefetch halves the group size, so this also pins that regrouping
+  // is observation-free.)
   const Graph& g = powerlaw_graph();
   const EdgePartition partition = ebv_partition(g, 8);
   const DistributedGraph resident(g, partition);
@@ -335,22 +317,17 @@ TEST(SpillRun, ResidencyBudgetHoldsUnderWorkStealing) {
   const apps::ConnectedComponents cc;
   for (const std::uint32_t k : {1u, 2u, 3u, 5u, 7u}) {
     for (const bool prefetch : {false, true}) {
-      for (const bool async : {false, true}) {
-        for (int rep = 0; rep < 3; ++rep) {
-          RunOptions options;
-          options.resident_workers = k;
-          options.prefetch = prefetch;
-          options.scheduler = async ? bsp::SchedulerMode::kAsync
-                                    : bsp::SchedulerMode::kStrict;
-          options.policy = bsp::ExecutionPolicy::kParallel;
-          options.num_threads = 4;
-          SCOPED_TRACE(testing::Message() << "k=" << k << " prefetch="
-                                          << prefetch << " async=" << async
-                                          << " rep=" << rep);
-          const RunStats run = BspRuntime(options).run(spilled, cc);
-          EXPECT_GE(run.peak_resident_workers, 1u);
-          EXPECT_LE(run.peak_resident_workers, k);
-        }
+      for (int rep = 0; rep < 3; ++rep) {
+        RunOptions options;
+        options.resident_workers = k;
+        options.prefetch = prefetch;
+        options.policy = bsp::ExecutionPolicy::kParallel;
+        options.num_threads = 4;
+        SCOPED_TRACE(testing::Message() << "k=" << k << " prefetch="
+                                        << prefetch << " rep=" << rep);
+        const RunStats run = BspRuntime(options).run(spilled, cc);
+        EXPECT_GE(run.peak_resident_workers, 1u);
+        EXPECT_LE(run.peak_resident_workers, k);
       }
     }
   }
@@ -361,62 +338,21 @@ TEST(SpillRun, ResidencyBudgetHoldsUnderWorkStealing) {
   EXPECT_EQ(BspRuntime().run(resident, cc).peak_resident_workers, 0u);
 }
 
-TEST(SpillRun, AsyncSchedulerMatchesStrictForMinCombineApps) {
-  // Async relaxes mailbox APPEND ORDER only; delivery stays superstep-
-  // synchronous. CC (min) and SSSP (min) fold order-insensitively, so
-  // async must equal strict bit-for-bit — including virtual time.
-  for (const auto app : {analysis::App::kCC, analysis::App::kSssp}) {
+TEST(SpillRun, StealingTeamMatchesSequentialForEveryApp) {
+  // Lanes are drained in ascending peer order whatever the steal
+  // schedule, so every app — PageRank's float sums included — equals
+  // the sequential run bit-for-bit, virtual time too.
+  for (const auto app : {analysis::App::kCC, analysis::App::kPageRank,
+                         analysis::App::kSssp}) {
     const Graph& g =
         app == analysis::App::kSssp ? weighted_graph() : powerlaw_graph();
-    const auto strict = analysis::run_experiment(g, "ebv", 8, app);
+    const auto sequential = analysis::run_experiment(g, "ebv", 8, app);
     RunOptions options;
-    options.scheduler = bsp::SchedulerMode::kAsync;
     options.policy = bsp::ExecutionPolicy::kParallel;
     options.num_threads = 4;
     SCOPED_TRACE(analysis::app_name(app));
-    const auto relaxed = analysis::run_experiment(g, "ebv", 8, app, options);
-    expect_stats_identical(relaxed.run, strict.run);
-  }
-}
-
-TEST(SpillRun, AsyncUnderBoundedSpillBudgetMatchesStrict) {
-  // Async + spilled snapshot + bounded residency + prefetch: the full
-  // composition. CC's min-combine keeps it exact.
-  const Graph& g = powerlaw_graph();
-  const EdgePartition partition = ebv_partition(g, 8);
-  const DistributedGraph resident(g, partition);
-  const DistributedGraph spilled(
-      g, partition, {.spill_path = temp_path("async_spill.ebvw")});
-  const apps::ConnectedComponents cc;
-  const RunStats base = BspRuntime().run(resident, cc);
-  RunOptions options;
-  options.scheduler = bsp::SchedulerMode::kAsync;
-  options.policy = bsp::ExecutionPolicy::kParallel;
-  options.num_threads = 4;
-  options.resident_workers = 4;
-  options.spill_dir = testing::TempDir();
-  expect_stats_identical(BspRuntime(options).run(spilled, cc), base);
-}
-
-TEST(SpillRun, AsyncPageRankKeepsCountsAndConvergesClose) {
-  // PR sums floats, so async final bits may differ with fold order — the
-  // contract only pins counts, supersteps and closeness.
-  const Graph& g = powerlaw_graph();
-  const auto strict =
-      analysis::run_experiment(g, "ebv", 8, analysis::App::kPageRank);
-  RunOptions options;
-  options.scheduler = bsp::SchedulerMode::kAsync;
-  options.policy = bsp::ExecutionPolicy::kParallel;
-  options.num_threads = 4;
-  const auto relaxed =
-      analysis::run_experiment(g, "ebv", 8, analysis::App::kPageRank, options);
-  EXPECT_EQ(relaxed.run.supersteps, strict.run.supersteps);
-  EXPECT_EQ(relaxed.run.total_messages, strict.run.total_messages);
-  EXPECT_EQ(relaxed.run.raw_messages, strict.run.raw_messages);
-  ASSERT_EQ(relaxed.run.values.size(), strict.run.values.size());
-  for (std::size_t v = 0; v < strict.run.values.size(); ++v) {
-    EXPECT_NEAR(relaxed.run.values[v], strict.run.values[v], 1e-12)
-        << "v=" << v;
+    const auto team = analysis::run_experiment(g, "ebv", 8, app, options);
+    expect_stats_identical(team.run, sequential.run);
   }
 }
 

@@ -207,6 +207,26 @@ TEST(BoundedChannel, TryPushRespectsCapacity) {
   EXPECT_FALSE(ch.try_pop(out));
 }
 
+TEST(BoundedChannel, HighWaterTracksPeakDepthAcrossPushAndPop) {
+  BoundedChannel<int> ch(4);
+  EXPECT_EQ(ch.high_water(), 0u);
+  ASSERT_TRUE(ch.try_push(1));
+  ASSERT_TRUE(ch.push(2));
+  EXPECT_EQ(ch.high_water(), 2u);
+  int out = 0;
+  ASSERT_TRUE(ch.try_pop(out));
+  ASSERT_TRUE(ch.try_pop(out));
+  EXPECT_EQ(ch.high_water(), 2u) << "pops never lower the high water";
+  ASSERT_TRUE(ch.try_push(3));
+  EXPECT_EQ(ch.high_water(), 2u);
+  for (int v = 4; v <= 6; ++v) ASSERT_TRUE(ch.try_push(v));
+  EXPECT_FALSE(ch.try_push(7)) << "ring is full";
+  EXPECT_EQ(ch.high_water(), 4u) << "a rejected push leaves it at capacity";
+  ch.close();
+  EXPECT_FALSE(ch.push(8));
+  EXPECT_EQ(ch.high_water(), ch.capacity());
+}
+
 TEST(BoundedChannel, CloseWakesBlockedConsumer) {
   BoundedChannel<int> ch(4);
   std::thread consumer([&] {
@@ -288,8 +308,8 @@ TEST(BoundedChannel, CloseWakesPopUntilClosedBeforeTimeout) {
 }
 
 TEST(BoundedChannelStress, ManyProducersOneConsumer) {
-  // The MPSC shape the async mailboxes use, far over capacity so both the
-  // blocking and wakeup paths run constantly.
+  // The MPSC shape of a serve admission queue, far over capacity so both
+  // the blocking and wakeup paths run constantly.
   constexpr int kProducers = 8;
   constexpr int kPerProducer = 5'000;
   BoundedChannel<int> ch(64);
@@ -313,11 +333,12 @@ TEST(BoundedChannelStress, ManyProducersOneConsumer) {
                                               (kPerProducer - 1) / 2));
   int leftover = 0;
   EXPECT_FALSE(ch.try_pop(leftover));
+  EXPECT_LE(ch.high_water(), ch.capacity());
 }
 
 TEST(BoundedChannelStress, TryPathsUnderContention) {
   // Lossless non-blocking traffic: producers spin on try_push, a consumer
-  // spins on try_pop — the exact pattern of the async mailbox hot path.
+  // spins on try_pop — the pattern of a non-blocking multi-queue consumer.
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 10'000;
   BoundedChannel<std::uint32_t> ch(32);
