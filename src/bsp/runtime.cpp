@@ -6,12 +6,14 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "bsp/checkpoint.h"
+#include "bsp/exchange_plan.h"
 #include "common/assert.h"
 #include "common/failpoint.h"
 #include "common/parallel.h"
@@ -23,10 +25,17 @@ namespace ebv::bsp {
 namespace {
 
 /// One value in flight between two workers — the runtime's wire unit.
+/// `slot` is the vertex's local id on the receiving worker, resolved by
+/// the run's ExchangePlan, so the receiver indexes its arrays directly.
+/// Packed to 12 bytes: lanes hold one entry per replica message, and
+/// 4 bytes of padding were a quarter of their memory.
+#pragma pack(push, 4)
 struct WireMessage {
-  VertexId global = kInvalidVertex;
+  std::uint32_t slot = 0;
   Value value = 0.0;
 };
+#pragma pack(pop)
+static_assert(sizeof(WireMessage) == 12, "WireMessage is packed");
 
 /// Messages from one worker to one peer within a superstep. Exactly one
 /// task writes a lane and exactly one later task drains it, ordered by
@@ -43,19 +52,10 @@ struct Lane {
   }
 };
 
-constexpr std::uint32_t kNoLane = 0xFFFFFFFFu;
-
-/// Relaxed add for the phase-wall accumulators (tasks of the same phase
-/// run concurrently under kParallel).
-void add_seconds(std::atomic<double>& slot, double seconds) {
-  double cur = slot.load(std::memory_order_relaxed);
-  while (!slot.compare_exchange_weak(cur, cur + seconds,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
-/// Per-superstep phase accumulators (plain atomics, reduced into
-/// RunStats::phase_wall at the barrier).
+/// Per-superstep phase accumulators (relaxed atomics fed by the task
+/// bodies' obs::trace::Span probes — tasks of the same phase run
+/// concurrently under kParallel — reduced into RunStats::phase_wall at
+/// the barrier).
 struct PhaseWallAccum {
   std::atomic<double> compute{0.0};
   std::atomic<double> route{0.0};
@@ -64,30 +64,6 @@ struct PhaseWallAccum {
   std::atomic<double> install{0.0};
   std::atomic<double> load{0.0};
   std::atomic<double> release{0.0};
-};
-
-/// RAII wall-clock attribution into one phase slot; a null slot (the
-/// phase-stats flag off, or outside the superstep loop) reads no clock
-/// at all, keeping the off path free.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(std::atomic<double>* slot) : slot_(slot) {
-    if (slot_ != nullptr) begin_ = std::chrono::steady_clock::now();
-  }
-  ~PhaseTimer() {
-    if (slot_ != nullptr) {
-      add_seconds(*slot_,
-                  std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - begin_)
-                      .count());
-    }
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  std::atomic<double>* slot_;
-  std::chrono::steady_clock::time_point begin_{};
 };
 
 [[noreturn]] void fail_nan(const SubgraphProgram& program, VertexId gv,
@@ -160,8 +136,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   auto ensure_loaded = [&](PartitionId first, PartitionId last,
                            bool with_csr) {
     if (!spilled) return;
-    const obs::trace::Span span("load", first);
-    const PhaseTimer phase(load_slot);
+    const obs::trace::Span probe("load", first, load_slot);
     for (PartitionId i = first; i < last; ++i) {
       if (cache[i] == nullptr) {
         // An unbounded budget loads every worker once, CSRs included,
@@ -180,8 +155,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   };
   auto release = [&](PartitionId first, PartitionId last) {
     if (!spilled || !bounded) return;
-    const obs::trace::Span span("release", first);
-    const PhaseTimer phase(release_slot);
+    const obs::trace::Span probe("release", first, release_slot);
     for (PartitionId i = first; i < last; ++i) {
       if (cache[i] != nullptr) {
         cache[i].reset();
@@ -199,47 +173,23 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     }
   };
 
-  // --- Communication topology ------------------------------------------
+  // --- Static exchange plan (bsp/exchange_plan.h) ----------------------
   // Every (mirror worker i, master m) pair that shares a replicated
-  // vertex owns one lane id, lane_of[i * p + m]: up[id] carries i's
-  // mirror accumulators to m, down[id] carries m's broadcasts back to i.
+  // vertex owns one lane id, plan.lane(i, m): up[id] carries i's mirror
+  // accumulators to m, down[id] carries m's broadcasts back to i.
   // senders_of[m] — workers that route to master m; masters_of[i] —
   // masters that broadcast into worker i. Both ascending; they are the
   // scheduler's cross-worker dependencies AND the order in which a
   // reader drains its lanes, which reproduces the sequential sweep's
-  // message order under any schedule.
-  std::vector<std::uint32_t> lane_of(static_cast<std::size_t>(p) * p,
-                                     kNoLane);
-  std::vector<std::vector<PartitionId>> senders_of(p);
-  std::vector<std::vector<PartitionId>> masters_of(p);
-  std::uint32_t num_lanes = 0;
-  {
-    for (VertexId gv = 0; gv < graph.num_global_vertices(); ++gv) {
-      const auto parts = graph.parts_of(gv);
-      if (parts.size() < 2) continue;
-      const PartitionId m = graph.master_of(gv);
-      for (const PartitionId i : parts) {
-        if (i != m) lane_of[static_cast<std::size_t>(i) * p + m] = 0;
-      }
-    }
-    for (PartitionId i = 0; i < p; ++i) {
-      for (PartitionId m = 0; m < p; ++m) {
-        std::uint32_t& id = lane_of[static_cast<std::size_t>(i) * p + m];
-        if (id != kNoLane) {
-          id = num_lanes++;
-          senders_of[m].push_back(i);
-          masters_of[i].push_back(m);
-        }
-      }
-    }
-  }
-  auto lane_id = [&](PartitionId mirror, PartitionId master) {
-    return lane_of[static_cast<std::size_t>(mirror) * p + master];
-  };
+  // message order under any schedule. Messages carry the receiver's
+  // local slot from the plan, so no id is ever searched.
+  const ExchangePlan plan = build_exchange_plan(graph);
+  const auto& senders_of = plan.senders_of;
+  const auto& masters_of = plan.masters_of;
   // Lane buffers keep their capacity across supersteps; their contents
   // never outlive one (every lane is drained before the barrier).
-  std::vector<Lane> up(num_lanes);
-  std::vector<Lane> down(num_lanes);
+  std::vector<Lane> up(plan.num_lanes);
+  std::vector<Lane> down(plan.num_lanes);
 
   // --- Per-worker state (resident regardless of the budget: O(Σ|Vi|),
   // the same order as the routing tables) ------------------------------
@@ -256,6 +206,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   for_each_group(false, [&](PartitionId first, PartitionId last) {
     for (PartitionId i = first; i < last; ++i) {
       const LocalSubgraph& ls = sub(i);
+      EBV_ASSERT(plan.slot(i).size() == ls.num_vertices());
       values[i].resize(ls.num_vertices());
       for (VertexId lv = 0; lv < ls.num_vertices(); ++lv) {
         values[i][lv] = program.init_value(ls.global_ids[lv]);
@@ -268,8 +219,8 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
 
   // Program-defined per-worker scratch, persistent across supersteps.
   std::vector<std::any> worker_state(p);
-  // Staged master broadcasts: filled by merge(m), shipped by
-  // broadcast(m).
+  // Staged master broadcasts: filled by merge(m) as {fan-out start,
+  // value}, shipped by broadcast(m).
   std::vector<std::vector<WireMessage>> bcast(p);
 
   RunStats stats;
@@ -377,10 +328,11 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   for (std::uint32_t step = start_step; step < options_.max_supersteps;
        ++step) {
     PhaseWallAccum phase_accum;
-    if (options_.phase_stats) {
-      load_slot = &phase_accum.load;
-      release_slot = &phase_accum.release;
-    }
+    auto phase_slot = [&](std::atomic<double>& slot) {
+      return options_.phase_stats ? &slot : nullptr;
+    };
+    load_slot = phase_slot(phase_accum.load);
+    release_slot = phase_slot(phase_accum.release);
     std::vector<WorkerStepStats> step_stats(p);
     // Owner-indexed counters: raw[i] is written only by route(i) and
     // broadcast(i), changed[i] only by worker i's compute, merge and
@@ -393,9 +345,8 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     // compute(i): the program's local compute plus the worker-local half
     // of emission routing — single-copy vertices resolve in place.
     auto compute_worker = [&](PartitionId i) {
-      const obs::trace::Span span("compute", i);
-      const PhaseTimer phase(options_.phase_stats ? &phase_accum.compute
-                                                  : nullptr);
+      const obs::trace::Span probe("compute", i,
+                                   phase_slot(phase_accum.compute));
       const LocalSubgraph& ls = sub(i);
       WorkerContext ctx(ls, values[i], acc[i], has_acc[i], emitted[i],
                         program);
@@ -423,33 +374,34 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       // Master replicas keep has_acc set; consumed by merge(i).
     };
 
-    // route(i): ship mirror accumulators to their masters' lanes.
+    // route(i): ship mirror accumulators to their masters' lanes, each
+    // addressed to the vertex's slot on the master.
     auto route_worker = [&](PartitionId i) {
-      const obs::trace::Span span("route", i);
-      const PhaseTimer phase(options_.phase_stats ? &phase_accum.route
-                                                  : nullptr);
+      const obs::trace::Span probe("route", i,
+                                   phase_slot(phase_accum.route));
       const LocalSubgraph& ls = sub(i);
+      const std::span<const std::uint32_t> slot = plan.slot(i);
       for (const VertexId lv : emitted[i]) {
         if (ls.is_replicated[lv] == 0 || ls.is_master[lv] != 0) continue;
         ++raw[i];
-        up[lane_id(i, ls.master_part[lv])].push(
-            {ls.global_ids[lv], acc[i][lv]});
+        up[plan.lane(i, ls.master_part[lv])].push({slot[lv], acc[i][lv]});
         has_acc[i][lv] = 0;
       }
     };
 
-    // broadcast(m): ship the values staged by merge(m) to every mirror
-    // peer's lane. Needs no residency: it reads only bcast[m] and the
-    // graph-level routing tables.
+    // broadcast(m): stream each value staged by merge(m) down its
+    // vertex's fan-out list, one message per mirror. Needs no residency:
+    // it reads only bcast[m] and the plan.
     auto broadcast_worker = [&](PartitionId m) {
-      const obs::trace::Span span("broadcast", m);
-      const PhaseTimer phase(options_.phase_stats ? &phase_accum.broadcast
-                                                  : nullptr);
-      for (const WireMessage& msg : bcast[m]) {
-        for (const PartitionId peer : graph.parts_of(msg.global)) {
-          if (peer == m) continue;
+      const obs::trace::Span probe("broadcast", m,
+                                   phase_slot(phase_accum.broadcast));
+      const FanOut* fanout = plan.fanout(m).data();
+      for (const WireMessage& staged : bcast[m]) {
+        for (const FanOut* f = fanout + staged.slot;; ++f) {
           ++raw[m];
-          down[lane_id(peer, m)].push(msg);
+          down[f->lane & ~ExchangePlan::kLastMirror].push(
+              {f->slot, staged.value});
+          if ((f->lane & ExchangePlan::kLastMirror) != 0) break;
         }
       }
       bcast[m].clear();
@@ -459,13 +411,11 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     // ascending sender order, apply, and stage broadcasts for changed
     // values.
     auto merge_worker = [&](PartitionId m) {
-      const obs::trace::Span span("merge", m);
-      const PhaseTimer phase(options_.phase_stats ? &phase_accum.merge
-                                                  : nullptr);
+      const obs::trace::Span probe("merge", m,
+                                   phase_slot(phase_accum.merge));
       const LocalSubgraph& ls = sub(m);
       auto fold = [&](const WireMessage& msg) {
-        const VertexId lv = ls.local_of(msg.global);
-        EBV_ASSERT(lv != kInvalidVertex);
+        const VertexId lv = msg.slot;
         EBV_ASSERT(ls.is_master[lv] != 0);
         if (has_acc[m][lv] != 0) {
           acc[m][lv] = program.combine(acc[m][lv], msg.value);
@@ -479,16 +429,16 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       // arrival's value before reaching the accumulator, and each
       // absorbed message leaves its sender's wire count.
       std::vector<WireMessage> combined;
-      std::unordered_map<VertexId, std::size_t> slot;
+      std::unordered_map<std::uint32_t, std::size_t> position;
       for (const PartitionId s : senders_of[m]) {
-        Lane& lane = up[lane_id(s, m)];
+        Lane& lane = up[plan.lane(s, m)];
         for (const WireMessage& msg : lane.msgs) {
           if (!options_.combine_messages) {
             fold(msg);
             continue;
           }
           const auto [it, inserted] =
-              slot.try_emplace(msg.global, combined.size());
+              position.try_emplace(msg.slot, combined.size());
           if (inserted) {
             combined.push_back(msg);
             continue;
@@ -501,6 +451,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       }
       for (const WireMessage& msg : combined) fold(msg);
 
+      const std::span<const std::uint32_t> fanout_start = plan.slot(m);
       for (const VertexId lv : emitted[m]) {
         if (has_acc[m][lv] == 0) continue;  // already resolved in compute
         if (ls.is_replicated[lv] == 0) continue;    // resolved in compute
@@ -520,23 +471,21 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         if (next == last_sync[m][lv]) continue;  // mirrors are up to date
         last_sync[m][lv] = next;
         changed[m] = 1;
-        bcast[m].push_back({ls.global_ids[lv], next});
+        bcast[m].push_back({fanout_start[lv], next});
       }
-      emitted[m].clear();
+      emitted[m].clear();  // mirrors' entries included: route consumed them
     };
 
     // install(i): mirrors adopt broadcast values, in ascending master
-    // order.
+    // order. Touches only the runtime's per-worker arrays, never the
+    // subgraph, so it needs no residency.
     auto install_worker = [&](PartitionId i) {
-      const obs::trace::Span span("install", i);
-      const PhaseTimer phase(options_.phase_stats ? &phase_accum.install
-                                                  : nullptr);
-      const LocalSubgraph& ls = sub(i);
+      const obs::trace::Span probe("install", i,
+                                   phase_slot(phase_accum.install));
       for (const PartitionId m : masters_of[i]) {
-        Lane& lane = down[lane_id(i, m)];
+        Lane& lane = down[plan.lane(i, m)];
         for (const WireMessage& msg : lane.msgs) {
-          const VertexId lv = ls.local_of(msg.global);
-          EBV_ASSERT(lv != kInvalidVertex);
+          const VertexId lv = msg.slot;
           last_sync[i][lv] = msg.value;
           if (values[i][lv] != msg.value) {
             values[i][lv] = msg.value;
@@ -546,7 +495,6 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         }
         lane.msgs.clear();
       }
-      emitted[i].clear();  // all consumed (mirrors cleared acc in route)
     };
 
     // --- Superstep task graph ------------------------------------------
@@ -556,29 +504,29 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     // (R or B) ordered before its one reader (M or I), so no task ever
     // waits on a peer it does not exchange messages with.
     //
-    // Three residency phases (compute+route, merge, install), each with
-    // optional per-group loader/release tasks under a binding budget.
-    // The loads form one global chain across the phases (L1[0..],
-    // L2[0..], L3[0..]) and so do the releases (Rel1[0..], Rel2[0..],
-    // Rel3[0..], each gated on its chain predecessor); every load also
-    // waits for the release `overlap` positions behind it in the global
-    // load order. Chaining the releases makes that gate transitive —
-    // when a load runs, EVERY earlier release outside its overlap window
-    // has executed (not merely become ready), so at most `overlap`
-    // groups are materialised at any instant under any steal schedule:
-    // 2 × ⌊k/2⌋ ≤ k with prefetch, 1 × k without. In particular a group
-    // is provably released before a later phase reloads it — without
-    // the chain, a ready-but-unexecuted straggler release (e.g. phase
-    // 1's second-to-last, which no later task would otherwise depend
-    // on) could reset a subgraph AFTER phase 2 reloaded it, racing the
-    // merge tasks reading it.
+    // Two residency phases (compute+route, merge), each with optional
+    // per-group loader/release tasks under a binding budget; broadcast
+    // and install read no subgraph and run outside them. The loads form
+    // one global chain across the phases (L1[0..], L2[0..]) and so do
+    // the releases (Rel1[0..], Rel2[0..], each gated on its chain
+    // predecessor); every load also waits for the release `overlap`
+    // positions behind it in the global load order. Chaining the
+    // releases makes that gate transitive — when a load runs, EVERY
+    // earlier release outside its overlap window has executed (not
+    // merely become ready), so at most `overlap` groups are materialised
+    // at any instant under any steal schedule: 2 × ⌊k/2⌋ ≤ k with
+    // prefetch, 1 × k without. In particular a group is provably
+    // released before phase 2 reloads it — without the chain, a
+    // ready-but-unexecuted straggler release (e.g. phase 1's
+    // second-to-last, which no later task would otherwise depend on)
+    // could reset a subgraph AFTER phase 2 reloaded it, racing the merge
+    // tasks reading it.
     const std::size_t overlap = prefetch ? 2 : 1;
     TaskGraph tg;
     constexpr TaskGraph::TaskId kNone = TaskGraph::kNone;
-    std::vector<TaskGraph::TaskId> C(p), R(p), M(p), B(p), I(p);
+    std::vector<TaskGraph::TaskId> C(p), R(p), M(p), B(p);
     std::vector<TaskGraph::TaskId> L1(ng, kNone), Rel1(ng, kNone);
     std::vector<TaskGraph::TaskId> L2(ng, kNone), Rel2(ng, kNone);
-    std::vector<TaskGraph::TaskId> L3(ng, kNone), Rel3(ng, kNone);
     TaskGraph::TaskId prev_rel = kNone;  // release-chain tail
 
     // Phase 1: load(csr) → compute (+ local resolve) → route → release.
@@ -631,27 +579,11 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       }
     }
 
-    // Phase 3: load → install → release.
-    for (std::size_t g = 0; g < ng; ++g) {
-      const Group grp = groups[g];
-      if (with_loads) {
-        L3[g] = tg.add(
-            [&, grp] { ensure_loaded(grp.first, grp.last, false); },
-            {g > 0 ? L3[g - 1] : kNone, Rel2[g],
-             g >= overlap ? Rel3[g - overlap] : Rel2[ng - overlap + g]});
-      }
-      for (PartitionId i = grp.first; i < grp.last; ++i) {
-        I[i] = tg.add([&, i] { install_worker(i); }, {L3[g], M[i]});
-        for (const PartitionId m : masters_of[i]) tg.depend(I[i], B[m]);
-      }
-      if (with_loads) {
-        Rel3[g] = tg.add([&, grp] { release(grp.first, grp.last); },
-                         {prev_rel});
-        for (PartitionId i = grp.first; i < grp.last; ++i) {
-          tg.depend(Rel3[g], I[i]);
-        }
-        prev_rel = Rel3[g];
-      }
+    // Install: I(i) after merge(i) and every master's broadcast.
+    for (PartitionId i = 0; i < p; ++i) {
+      const TaskGraph::TaskId install = tg.add([&, i] { install_worker(i); },
+                                               {M[i]});
+      for (const PartitionId m : masters_of[i]) tg.depend(install, B[m]);
     }
 
     double superstep_wall = 0.0;
@@ -687,8 +619,8 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     };
     for (PartitionId i = 0; i < p; ++i) {
       for (const PartitionId m : masters_of[i]) {
-        count_lane(i, m, up[lane_id(i, m)]);
-        count_lane(m, i, down[lane_id(i, m)]);
+        count_lane(i, m, up[plan.lane(i, m)]);
+        count_lane(m, i, down[plan.lane(i, m)]);
       }
     }
     bool any_change = false;

@@ -22,12 +22,19 @@
 // Scheduling: each superstep is one per-worker task graph — compute,
 // route, master-merge, broadcast and mirror-install, plus loader/release
 // tasks that prefetch the next residency group while the current one
-// computes — executed by a work-stealing scheduler (common/task_graph.h).
-// Messages travel on per-(sender, receiver) lanes with one writer task
-// and one reader task each; a reader drains its lanes in ascending peer
-// order, so supersteps, messages, values and virtual time are
-// bit-identical under every budget, team size and steal schedule
-// (docs/ARCHITECTURE.md, "The task-graph superstep scheduler").
+// computes (compute+route and merge are the two residency phases;
+// broadcast and install read no subgraph) — executed by a work-stealing
+// scheduler (common/task_graph.h). Messages travel on per-(sender,
+// receiver) lanes with one writer task and one reader task each; a
+// reader drains its lanes in ascending peer order, so supersteps,
+// messages, values and virtual time are bit-identical under every
+// budget, team size and steal schedule (docs/ARCHITECTURE.md, "The
+// task-graph superstep scheduler").
+//
+// Messages are slot-addressed: run() builds the graph's static exchange
+// plan once (bsp/exchange_plan.h), and every message carries the
+// vertex's local id on the receiving worker, so merge and install index
+// their arrays directly and broadcast streams a precomputed fan-out.
 #pragma once
 
 #include <any>

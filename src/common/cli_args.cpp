@@ -1,5 +1,6 @@
 #include "common/cli_args.h"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -18,6 +19,21 @@ ArgMap parse_args(int argc, char** argv, int first) {
     args[argv[i] + 2] = argv[i + 1];
   }
   return args;
+}
+
+void check_known_flags(const ArgMap& args, const std::string& command,
+                       std::initializer_list<std::string_view> known) {
+  for (const auto& [flag, value] : args) {
+    if (flag == "failpoints" ||
+        std::find(known.begin(), known.end(), flag) != known.end()) {
+      continue;
+    }
+    std::string message = "unknown flag --" + flag + " for '" + command + "'";
+    if (flag == "async") {
+      message += " (removed; the scheduler is always deterministic)";
+    }
+    throw std::invalid_argument(message);
+  }
 }
 
 std::string get(const ArgMap& args, const std::string& key,

@@ -8,9 +8,11 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace ebv::cli {
 
@@ -21,6 +23,13 @@ using ArgMap = std::map<std::string, std::string>;
 /// value (which the old parser dropped silently). Repeated flags keep the
 /// last value.
 ArgMap parse_args(int argc, char** argv, int first);
+
+/// Reject every flag in `args` that `command` does not read: throws
+/// std::invalid_argument("unknown flag --X for 'command'") naming the
+/// first such flag, with a hint appended for a flag that was removed.
+/// `--failpoints` is accepted by every command.
+void check_known_flags(const ArgMap& args, const std::string& command,
+                       std::initializer_list<std::string_view> known);
 
 /// Value of --key, or `fallback` when absent and non-empty; throws
 /// std::invalid_argument naming the flag when absent with no fallback.

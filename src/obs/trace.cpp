@@ -192,17 +192,27 @@ ThreadTrackGuard::ThreadTrackGuard(std::uint32_t track) : prev_(t_track) {
 
 ThreadTrackGuard::~ThreadTrackGuard() { t_track = prev_; }
 
-Span::Span(const char* name, std::uint64_t arg)
-    : name_(name), arg_(arg), armed_(enabled()) {
-  if (!armed_) return;
-  epoch_ = collector().epoch.load(std::memory_order_relaxed);
-  begin_ = std::chrono::steady_clock::now();
+Span::Span(const char* name, std::uint64_t arg,
+           std::atomic<double>* wall_seconds)
+    : name_(name), arg_(arg), wall_seconds_(wall_seconds), armed_(enabled()) {
+  if (armed_) epoch_ = collector().epoch.load(std::memory_order_relaxed);
+  if (armed_ || wall_seconds_ != nullptr) {
+    begin_ = std::chrono::steady_clock::now();
+  }
 }
 
 Span::~Span() {
+  if (!armed_ && wall_seconds_ == nullptr) return;
+  const auto end = std::chrono::steady_clock::now();
+  if (wall_seconds_ != nullptr) {
+    const double seconds = std::chrono::duration<double>(end - begin_).count();
+    double cur = wall_seconds_->load(std::memory_order_relaxed);
+    while (!wall_seconds_->compare_exchange_weak(
+        cur, cur + seconds, std::memory_order_relaxed)) {
+    }
+  }
   if (!armed_ || !enabled()) return;
   if (collector().epoch.load(std::memory_order_relaxed) != epoch_) return;
-  const auto end = std::chrono::steady_clock::now();
   const std::uint64_t ts = since_start_ns(begin_);
   const auto dur = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin_)

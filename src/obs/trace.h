@@ -68,9 +68,15 @@ class ThreadTrackGuard {
 
 /// RAII complete-event ("ph":"X") span on the calling thread's track.
 /// `name` must be a string literal; `arg` renders as args.v when given.
+/// A non-null `wall_seconds` also receives the span's duration (relaxed
+/// atomic add), whether or not the collector is armed: one probe, one
+/// pair of clock reads, feeding both the trace and a caller's wall
+/// accumulator (`run --phase-stats`). Disarmed with no accumulator, the
+/// span reads no clock.
 class Span {
  public:
-  explicit Span(const char* name, std::uint64_t arg = kNoArg);
+  explicit Span(const char* name, std::uint64_t arg = kNoArg,
+                std::atomic<double>* wall_seconds = nullptr);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -78,6 +84,7 @@ class Span {
  private:
   const char* name_;
   std::uint64_t arg_;
+  std::atomic<double>* wall_seconds_;
   std::uint64_t epoch_ = 0;
   std::chrono::steady_clock::time_point begin_{};
   bool armed_;

@@ -129,5 +129,44 @@ TEST(GetHelpers, ParseThroughArgMap) {
   EXPECT_DOUBLE_EQ(get_double(args, "beta", "1.0"), 1.0);
 }
 
+TEST(CheckKnownFlags, AcceptsDeclaredFlagsAndFailpointsEverywhere) {
+  const ArgMap args{{"graph", "g.ebvg"}, {"app", "cc"}, {"failpoints", "x"}};
+  EXPECT_NO_THROW(check_known_flags(args, "run", {"graph", "app"}));
+  EXPECT_NO_THROW(check_known_flags({}, "stats", {}));
+  EXPECT_NO_THROW(check_known_flags({{"failpoints", "x"}}, "stats", {}));
+}
+
+TEST(CheckKnownFlags, RejectsUndeclaredFlagNamingFlagAndCommand) {
+  // A typo must not turn into a silent no-op: `--asynk 1 --bogus-flag 7`
+  // on run used to exit 0 with a normal table.
+  const ArgMap args{{"graph", "g.ebvg"}, {"asynk", "1"}, {"bogus-flag", "7"}};
+  EXPECT_THROW(check_known_flags(args, "run", {"graph"}),
+               std::invalid_argument);
+  EXPECT_EQ(
+      thrown_message([&] { check_known_flags(args, "run", {"graph"}); }),
+      "unknown flag --asynk for 'run'");
+  EXPECT_EQ(thrown_message([&] {
+              check_known_flags({{"bogus-flag", "7"}}, "partition",
+                                {"graph", "parts"});
+            }),
+            "unknown flag --bogus-flag for 'partition'");
+}
+
+TEST(CheckKnownFlags, FlagsAreCheckedPerCommand) {
+  // --combine is a run flag, not a partition flag.
+  const ArgMap args{{"combine", "1"}};
+  EXPECT_NO_THROW(check_known_flags(args, "run", {"combine"}));
+  EXPECT_THROW(check_known_flags(args, "partition", {"parts"}),
+               std::invalid_argument);
+}
+
+TEST(CheckKnownFlags, RemovedAsyncFlagCarriesAHint) {
+  EXPECT_EQ(thrown_message([] {
+              check_known_flags({{"async", "1"}}, "run", {"graph"});
+            }),
+            "unknown flag --async for 'run' (removed; the scheduler is "
+            "always deterministic)");
+}
+
 }  // namespace
 }  // namespace ebv::cli

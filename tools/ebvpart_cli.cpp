@@ -102,6 +102,9 @@ MappedGraph open_mapped(const std::string& path) {
 }
 
 int cmd_generate(const ArgMap& args) {
+  cli::check_known_flags(args, "generate",
+                         {"family", "vertices", "edges", "eta", "seed", "side",
+                          "attach", "out"});
   const std::string family = get(args, "family", "powerlaw");
   const auto seed = get_uint(args, "seed", "42");
   Graph graph;
@@ -140,6 +143,9 @@ int cmd_generate(const ArgMap& args) {
 }
 
 int cmd_convert(const ArgMap& args) {
+  cli::check_known_flags(args, "convert",
+                         {"in", "out", "budget-mb", "threads", "dedup",
+                          "keep-self-loops", "tmp", "trace"});
   io::ConvertOptions options;
   options.memory_budget_bytes =
       get_uint(args, "budget-mb", "256",
@@ -203,6 +209,7 @@ int cmd_convert(const ArgMap& args) {
 }
 
 int cmd_stats(const ArgMap& args) {
+  cli::check_known_flags(args, "stats", {"graph", "mmap", "deep"});
   if (args.count("mmap") != 0) {
     if (args.count("deep") != 0) {
       throw std::invalid_argument(
@@ -241,6 +248,9 @@ int cmd_stats(const ArgMap& args) {
 }
 
 int cmd_partition(const ArgMap& args) {
+  cli::check_known_flags(args, "partition",
+                         {"graph", "mmap", "algo", "parts", "alpha", "beta",
+                          "order", "seed", "threads", "batch", "out", "trace"});
   const std::string algo = get(args, "algo", "ebv");
   PartitionConfig config;
   config.num_parts =
@@ -324,6 +334,11 @@ int cmd_partition(const ArgMap& args) {
 }
 
 int cmd_run(const ArgMap& args) {
+  cli::check_known_flags(args, "run",
+                         {"graph", "mmap", "partition", "algo", "parts", "app",
+                          "threads", "resident-workers", "spill-dir", "combine",
+                          "prefetch", "checkpoint-dir", "checkpoint-every",
+                          "resume", "trace", "phase-stats"});
   const std::string app_name = get(args, "app", "cc");
   analysis::App app = analysis::App::kCC;
   if (app_name == "pr") {
@@ -488,6 +503,10 @@ volatile std::sig_atomic_t g_serve_stop = 0;
 extern "C" void serve_signal_handler(int) { g_serve_stop = 1; }
 
 int cmd_serve(const ArgMap& args) {
+  cli::check_known_flags(args, "serve",
+                         {"mmap", "partition", "socket", "workers", "queues",
+                          "max-sessions", "neighbor-limit", "max-run-parts",
+                          "spill-dir", "duration"});
   serve::ServerConfig config;
   const std::string default_socket =
       (std::filesystem::temp_directory_path() /
@@ -610,6 +629,10 @@ int cmd_serve(const ArgMap& args) {
 }
 
 int cmd_query(const ArgMap& args) {
+  cli::check_known_flags(args, "query",
+                         {"socket", "op", "graph-index", "vertices", "edges",
+                          "source", "hops", "limit", "app", "parts", "algo",
+                          "kind", "count"});
   const std::string socket = get(args, "socket");
   const std::string op = get(args, "op");
   const auto graph_index = static_cast<std::uint32_t>(
