@@ -31,37 +31,29 @@ void BM_Partitioner(benchmark::State& state, const std::string& name) {
                           static_cast<std::int64_t>(g.num_edges()));
 }
 
-// 1M-edge power-law graph for the parallel-EBV trajectory recorded in
-// BENCH_partition.json (serial vs multi-thread chunked candidate scoring).
+// 1M-edge power-law graph for the EBV trajectory recorded in
+// BENCH_partition.json (serial scoring, 1–4 thread edge sort).
 const Graph& big_graph() {
   static const Graph g = gen::chung_lu(100'000, 1'000'000, 2.3, false, 42);
   return g;
 }
 
 // The Eva scoring core in isolation (no edge sort): assign every edge of
-// the 1M-edge graph in natural order through run_eva_scoring. Args are
-// {num_threads, batch}; {1, 1} is the serial row the BENCH_partition.json
-// trajectory tracks in edges/sec.
+// the 1M-edge graph in natural order with the serial best_part → commit
+// loop; the BENCH_partition.json trajectory tracks it in edges/sec.
 void BM_EvaScore(benchmark::State& state) {
   const Graph& g = big_graph();
   PartitionConfig config;
   config.num_parts = 64;
-  config.num_threads = static_cast<std::uint32_t>(state.range(0));
-  config.batch_size = static_cast<std::uint32_t>(state.range(1));
   for (auto _ : state) {
     detail::EvaState eva(g, config);
-    EdgeId next = 0;
     std::uint64_t committed = 0;
-    detail::run_eva_scoring(
-        eva, config.num_threads, config.batch_size,
-        [&](VertexId& u, VertexId& v) {
-          if (next == g.num_edges()) return false;
-          const auto [src, dst] = g.edge(next++);
-          u = src;
-          v = dst;
-          return true;
-        },
-        [&](PartitionId best, unsigned) { committed += best; });
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const auto [u, v] = g.edge(e);
+      const PartitionId best = eva.best_part(u, v);
+      eva.commit(best, u, v);
+      committed += best;
+    }
     benchmark::DoNotOptimize(committed);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -135,10 +127,6 @@ BENCHMARK_CAPTURE(BM_Partitioner, hdrf, std::string("hdrf"))->Arg(16);
 BENCHMARK_CAPTURE(BM_Partitioner, ebv_p4, std::string("ebv"))->Arg(4);
 BENCHMARK_CAPTURE(BM_Partitioner, ebv_p64, std::string("ebv"))->Arg(64);
 BENCHMARK(BM_EvaScore)
-    ->Args({1, 1})
-    ->Args({2, 256})
-    ->Args({4, 256})
-    ->Args({4, 4096})
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 BENCHMARK(BM_EbvThreads)

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace ebv::cli {
 
@@ -21,6 +22,16 @@ ArgMap parse_args(int argc, char** argv, int first) {
   return args;
 }
 
+namespace {
+
+/// Flags that once existed, with the hint printed when one is still used.
+constexpr std::pair<std::string_view, std::string_view> kRemovedFlags[] = {
+    {"async", "the scheduler is always deterministic"},
+    {"batch", "Eva scoring is serial, --threads bounds the edge sort"},
+};
+
+}  // namespace
+
 void check_known_flags(const ArgMap& args, const std::string& command,
                        std::initializer_list<std::string_view> known) {
   for (const auto& [flag, value] : args) {
@@ -29,8 +40,10 @@ void check_known_flags(const ArgMap& args, const std::string& command,
       continue;
     }
     std::string message = "unknown flag --" + flag + " for '" + command + "'";
-    if (flag == "async") {
-      message += " (removed; the scheduler is always deterministic)";
+    for (const auto& [removed, hint] : kRemovedFlags) {
+      if (flag == removed) {
+        message += " (removed; " + std::string(hint) + ")";
+      }
     }
     throw std::invalid_argument(message);
   }

@@ -1,10 +1,13 @@
 #include "common/parallel.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/assert.h"

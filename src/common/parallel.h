@@ -11,7 +11,7 @@
 //                           chunk-indexed (not thread-indexed) structure.
 //   run_team(t, body)     — run body(rank, team_size) on t ranks
 //                           concurrently. Ranks may synchronise with each
-//                           other (e.g. via SpinBarrier); the pool
+//                           other (e.g. via std::barrier); the pool
 //                           guarantees all ranks execute simultaneously.
 //
 // Exceptions thrown by a body are captured and the first one is rethrown
@@ -28,12 +28,9 @@
 // never silently caps a knob.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <thread>
 
 namespace ebv {
 
@@ -49,30 +46,6 @@ unsigned hardware_threads();
 /// whether the request is honoured.
 bool request_global_threads(unsigned num_threads);
 bool request_global_threads(unsigned num_threads, std::ostream& warn);
-
-/// Sense-reversing spin barrier for run_team() ranks. Spins with
-/// this_thread::yield so oversubscribed hosts still make progress.
-class SpinBarrier {
- public:
-  explicit SpinBarrier(unsigned parties) : parties_(parties) {}
-
-  void arrive_and_wait() {
-    const std::uint64_t phase = phase_.load(std::memory_order_acquire);
-    if (count_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-      count_.store(0, std::memory_order_relaxed);
-      phase_.fetch_add(1, std::memory_order_release);
-    } else {
-      while (phase_.load(std::memory_order_acquire) == phase) {
-        std::this_thread::yield();
-      }
-    }
-  }
-
- private:
-  unsigned parties_;
-  std::atomic<unsigned> count_{0};
-  std::atomic<std::uint64_t> phase_{0};
-};
 
 class ThreadPool {
  public:
@@ -100,10 +73,10 @@ class ThreadPool {
 
   /// Run body(rank, team) for rank in [0, team_size) concurrently. All
   /// ranks are guaranteed to be live at once, so bodies may use a
-  /// SpinBarrier(team) to synchronise. Ranks beyond the pool size are
-  /// carried by temporary threads, so any team size works on any host
-  /// (oversubscription spins via yield). From inside a pool body the team
-  /// degrades to 1 — check inside_pool_body() when sizing barriers.
+  /// std::barrier(team) to synchronise. Ranks beyond the pool size are
+  /// carried by temporary threads, so any team size works on any host.
+  /// From inside a pool body the team degrades to 1 — check
+  /// inside_pool_body() when sizing barriers.
   void run_team(unsigned team_size,
                 const std::function<void(unsigned, unsigned)>& body);
 
@@ -120,7 +93,7 @@ class ThreadPool {
 
   /// True while the calling thread executes a pool body. run_team() from
   /// such a thread degrades to a team of one; callers that size external
-  /// synchronisation (e.g. a SpinBarrier) to the team must check this.
+  /// synchronisation (e.g. a std::barrier) to the team must check this.
   static bool inside_pool_body();
 
  private:

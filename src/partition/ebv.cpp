@@ -41,35 +41,23 @@ EdgePartition EbvPartitioner::partition_traced(
           ? 0
           : std::max<EdgeId>(1, graph.num_edges() / num_samples);
 
-  // Algorithm 1: visit edges in order; the scoring core evaluates every
-  // subgraph (lines 8–15), picks the argmin with lowest-index tie-breaking
-  // and applies the commit (lines 16–22). With num_threads > 1 the core
-  // runs batched speculative team scoring, bit-identical to the sequential
-  // scan for every (threads, batch) — see eva_scorer.h. Edges are pulled
-  // in `order` and committed in the same order, so the sink tracks its own
-  // cursor into `order`.
-  std::size_t pull_pos = 0;
-  std::size_t commit_pos = 0;
-  detail::run_eva_scoring(
-      state, config.num_threads, config.batch_size,
-      [&](VertexId& u, VertexId& v) {
-        if (pull_pos == order.size()) return false;
-        const auto [src, dst] = graph.edge(order[pull_pos++]);
-        u = src;
-        v = dst;
-        return true;
-      },
-      [&](PartitionId best, unsigned new_replicas) {
-        result.part_of_edge[order[commit_pos++]] = best;
-        total_replicas += new_replicas;
-        const EdgeId processed = commit_pos;
-        if (sample_every != 0 && (processed % sample_every == 0 ||
-                                  processed == graph.num_edges())) {
-          trace.push_back(
-              {processed, static_cast<double>(total_replicas) /
-                              std::max<VertexId>(graph.num_vertices(), 1)});
-        }
-      });
+  // Algorithm 1: visit edges in order; best_part evaluates every subgraph
+  // (lines 8–15) and picks the argmin with lowest-index tie-breaking, and
+  // commit applies the assignment (lines 16–22).
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const EdgeId e = order[i];
+    const auto [u, v] = graph.edge(e);
+    const PartitionId best = state.best_part(u, v);
+    result.part_of_edge[e] = best;
+    total_replicas += state.commit(best, u, v);
+    const EdgeId processed = i + 1;
+    if (sample_every != 0 && (processed % sample_every == 0 ||
+                              processed == graph.num_edges())) {
+      trace.push_back(
+          {processed, static_cast<double>(total_replicas) /
+                          std::max<VertexId>(graph.num_vertices(), 1)});
+    }
+  }
   return result;
 }
 

@@ -43,10 +43,7 @@ EdgePartition StreamingEbvPartitioner::partition_view(
   };
 
   // Pop the buffered edge with the smallest (ingestion-time) partial-degree
-  // sum. Keys depend only on how far the stream has been ingested, never on
-  // assignment results, so the pop sequence is a pure function of the
-  // ingestion sequence — the property that lets the scoring core pull
-  // edges ahead of their commits for batched speculative scoring.
+  // sum.
   auto pop_smallest = [&] {
     for (;;) {
       const auto [key, e] = buffer.top();
@@ -61,35 +58,24 @@ EdgePartition StreamingEbvPartitioner::partition_view(
     }
   };
 
-  // The source is a generator reproducing the seed's exact interleaving
-  // (ingest one edge; flush one when the buffer reaches the window; drain
-  // at end-of-stream), produced lazily one assignment at a time. Edges are
-  // committed in production order, so the sink matches results to edge ids
-  // through the `pending` FIFO.
+  // The seed's exact interleaving: ingest one edge; flush one when the
+  // buffer reaches the window; drain at end-of-stream.
   EdgeId stream_pos = 0;
-  std::queue<EdgeId> pending;
-  detail::run_eva_scoring(
-      state, config.num_threads, config.batch_size,
-      [&](VertexId& u, VertexId& v) {
-        while (stream_pos < graph.num_edges() && buffer.size() < window_) {
-          const EdgeId e = stream_pos++;
-          const auto [s, d] = graph.edge(e);
-          ++partial_degree[s];
-          ++partial_degree[d];
-          buffer.push({current_key(e), e});
-        }
-        if (buffer.empty()) return false;
-        const EdgeId e = pop_smallest();
-        pending.push(e);
-        const auto [s, d] = graph.edge(e);
-        u = s;
-        v = d;
-        return true;
-      },
-      [&](PartitionId best, unsigned) {
-        result.part_of_edge[pending.front()] = best;
-        pending.pop();
-      });
+  for (;;) {
+    while (stream_pos < graph.num_edges() && buffer.size() < window_) {
+      const EdgeId e = stream_pos++;
+      const auto [u, v] = graph.edge(e);
+      ++partial_degree[u];
+      ++partial_degree[v];
+      buffer.push({current_key(e), e});
+    }
+    if (buffer.empty()) break;
+    const EdgeId e = pop_smallest();
+    const auto [u, v] = graph.edge(e);
+    const PartitionId best = state.best_part(u, v);
+    result.part_of_edge[e] = best;
+    state.commit(best, u, v);
+  }
   return result;
 }
 

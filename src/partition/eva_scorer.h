@@ -26,40 +26,25 @@
 // rounding exactly: double addition is not associative, and the golden
 // tests pin the seed's lowest-index tie-break down to the last ulp.
 //
-// run_eva_scoring() owns the assignment loop. The driver supplies the edge
-// stream through next(u, v) (which must not depend on earlier assignment
-// results — both EBV drivers satisfy this: the offline order is fixed up
-// front and the streaming buffer is keyed by ingestion-time partial
-// degrees only) and observes results through on_commit(best,
-// new_replicas), called once per produced edge, in production order. With
-// num_threads > 1 the scan runs as BATCHED SPECULATIVE scoring: the team
-// pre-scores a block of up to `batch` edges against a frozen (masks, load)
-// snapshot in one barrier handshake, then rank 0 replays the block
-// sequentially, accepting a speculative argmin whenever the commits made
-// since the snapshot provably could not change it and rescoring the ≤batch
-// touched ("dirty") parts — or, when the speculative winner itself is
-// dirty, the whole part range — otherwise. The replay reconstruction is
-// exact, not heuristic, so part_of_edge is bit-identical to the
-// sequential scan for every (num_threads, batch) pair — the property the
-// parallel-determinism tests pin down.
+// The drivers own the assignment loop: for each edge in their order they
+// call best_part(u, v) and then commit(best, u, v). Algorithm 1 is
+// sequential by nature — each argmin depends on every earlier commit — so
+// scoring is serial; PartitionConfig::num_threads only bounds the parallel
+// edge sort (make_edge_order), and output is bit-identical for every value.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
-#include "common/assert.h"
-#include "common/parallel.h"
 #include "partition/partitioner.h"
 #include "partition/replica_masks.h"
 
 namespace ebv::detail {
 
 struct EvaState {
-  PartitionId num_parts = 0;
-  VertexId num_vertices = 0;
   double alpha = 1.0;
   double beta = 1.0;
   double edges_per_part = 1.0;
@@ -76,9 +61,7 @@ struct EvaState {
   std::vector<double> load_v;
 
   EvaState(const GraphView& graph, const PartitionConfig& config)
-      : num_parts(config.num_parts),
-        num_vertices(graph.num_vertices()),
-        alpha(config.alpha),
+      : alpha(config.alpha),
         beta(config.beta),
         edges_per_part(
             static_cast<double>(std::max<EdgeId>(graph.num_edges(), 1)) /
@@ -91,25 +74,12 @@ struct EvaState {
         load_e(config.num_parts, 0.0),
         load_v(config.num_parts, 0.0) {}
 
-  [[nodiscard]] bool kept(PartitionId i, VertexId v) const {
-    return masks.test(v, i) != 0;
-  }
-
-  /// Eva score of part i against the LIVE state (used by the replay
-  /// validation for dirty parts); same association order as best_part().
-  [[nodiscard]] double eva(PartitionId i, VertexId u, VertexId v) const {
-    const double miss =
-        static_cast<double>(2 - masks.test(u, i) - masks.test(v, i));
-    return (miss + load_e[i]) + load_v[i];
-  }
-
   /// Argmin of Eva(u,v)(·) over all parts with lowest-index tie-breaking.
   /// One pass over the two vertices' mask rows: per 64-part word the parts
   /// split into membership classes with constant replication miss (both
   /// bits set → 0, exactly one → 1, neither → 2), each walked with
   /// countr_zero so the loop body is miss + two array reads + one compare.
-  [[nodiscard]] PartitionId best_part(VertexId u, VertexId v,
-                                      double* eva_out = nullptr) const {
+  [[nodiscard]] PartitionId best_part(VertexId u, VertexId v) const {
     const std::uint64_t* mu = masks.row(u);
     const std::uint64_t* mv = masks.row(v);
     PartitionId best = 0;
@@ -138,7 +108,6 @@ struct EvaState {
       scan(a ^ b, 1.0);
       scan(~(a | b) & masks.word_mask(w), 2.0);
     }
-    if (eva_out != nullptr) *eva_out = best_eva;
     return best;
   }
 
@@ -158,58 +127,5 @@ struct EvaState {
     return new_replicas;
   }
 };
-
-/// Type-erased driver interface for the team engine in eva_scorer.cpp
-/// (the serial fast path in run_eva_scoring stays fully inlined).
-class EdgeSource {
- public:
-  /// Produce the next edge to assign; false when the stream is exhausted.
-  /// Must not depend on the results of earlier assignments (the team
-  /// engine pulls up to `batch` edges ahead of their commits).
-  virtual bool next(VertexId& u, VertexId& v) = 0;
-  /// Observe the assignment of a produced edge. Called exactly once per
-  /// produced edge, in production order; EvaState::commit has already
-  /// been applied.
-  virtual void on_commit(PartitionId best, unsigned new_replicas) = 0;
-
- protected:
-  ~EdgeSource() = default;
-};
-
-/// Batched speculative team scoring over `team` ranks (eva_scorer.cpp).
-void run_eva_scoring_team(EvaState& state, unsigned team, std::uint32_t batch,
-                          EdgeSource& source);
-
-/// Assign every edge produced by next(u, v) to its deterministic Eva
-/// argmin, reporting each result through on_commit(best, new_replicas).
-/// num_threads ≤ 1 (or a degenerate part count, or a caller already inside
-/// a pool body) runs the inlined sequential loop; otherwise the batched
-/// speculative team protocol executes with block size `batch`. Output is
-/// bit-identical across every (num_threads, batch) combination.
-template <typename Next, typename OnCommit>
-void run_eva_scoring(EvaState& state, std::uint32_t num_threads,
-                     std::uint32_t batch, Next&& next, OnCommit&& on_commit) {
-  const unsigned team = std::max<std::uint32_t>(num_threads, 1);
-  if (team <= 1 || state.num_parts < 2 || ThreadPool::inside_pool_body()) {
-    VertexId u = 0;
-    VertexId v = 0;
-    while (next(u, v)) {
-      const PartitionId best = state.best_part(u, v);
-      on_commit(best, state.commit(best, u, v));
-    }
-    return;
-  }
-
-  struct Source final : EdgeSource {
-    Next& next_fn;
-    OnCommit& commit_fn;
-    Source(Next& n, OnCommit& c) : next_fn(n), commit_fn(c) {}
-    bool next(VertexId& u, VertexId& v) override { return next_fn(u, v); }
-    void on_commit(PartitionId best, unsigned new_replicas) override {
-      commit_fn(best, new_replicas);
-    }
-  } source(next, on_commit);
-  run_eva_scoring_team(state, team, batch, source);
-}
 
 }  // namespace ebv::detail

@@ -39,21 +39,13 @@ struct PartitionConfig {
 
   /// Worker threads for partitioners that support intra-partition
   /// parallelism; 1 = sequential. THE RULE: num_threads is an upper bound
-  /// on EVERY parallel stage of a partitioner run — the batched
-  /// speculative scoring team (eva_scorer.h) and make_edge_order's key
-  /// fill and chunk-sort all fan out over exactly min(num_threads, work)
-  /// ranks, never the whole shared pool. (The pool merely carries the
-  /// ranks; its size does not govern the fan-out.) Results are
-  /// bit-identical for every value — see eva_scorer.h.
+  /// on EVERY parallel stage of a partitioner run. For the EBV family that
+  /// is make_edge_order's key fill and chunk-sort, which fan out over
+  /// exactly min(num_threads, work) ranks, never the whole shared pool.
+  /// (The pool merely carries the ranks; its size does not govern the
+  /// fan-out.) Eva scoring itself is serial (eva_scorer.h). Results are
+  /// bit-identical for every value.
   std::uint32_t num_threads = 1;
-
-  /// Block size B for the batched speculative scoring protocol: with
-  /// num_threads > 1 the team pre-scores B edges per barrier handshake
-  /// against a frozen snapshot and rank 0 replays them sequentially
-  /// (eva_scorer.h). Output is bit-identical for every value; B only
-  /// trades barrier overhead against speculation misses. Ignored when
-  /// num_threads <= 1.
-  std::uint32_t batch_size = 256;
 };
 
 /// Result of a vertex-cut partitioning: part_of_edge[e] is the subgraph of

@@ -124,7 +124,7 @@ TEST(Get, FallbackAndRequired) {
 TEST(GetHelpers, ParseThroughArgMap) {
   const ArgMap args{{"parts", "64"}, {"alpha", "0.5"}};
   EXPECT_EQ(get_uint(args, "parts", "8"), 64u);
-  EXPECT_EQ(get_uint(args, "batch", "256"), 256u);
+  EXPECT_EQ(get_uint(args, "seed", "42"), 42u);
   EXPECT_DOUBLE_EQ(get_double(args, "alpha", "1.0"), 0.5);
   EXPECT_DOUBLE_EQ(get_double(args, "beta", "1.0"), 1.0);
 }
@@ -166,6 +166,14 @@ TEST(CheckKnownFlags, RemovedAsyncFlagCarriesAHint) {
             }),
             "unknown flag --async for 'run' (removed; the scheduler is "
             "always deterministic)");
+}
+
+TEST(CheckKnownFlags, RemovedBatchFlagCarriesAHint) {
+  EXPECT_EQ(thrown_message([] {
+              check_known_flags({{"batch", "64"}}, "partition", {"graph"});
+            }),
+            "unknown flag --batch for 'partition' (removed; Eva scoring is "
+            "serial, --threads bounds the edge sort)");
 }
 
 }  // namespace

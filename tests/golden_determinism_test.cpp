@@ -154,7 +154,7 @@ EdgePartition legacy_ebv_reference(const Graph& g,
 
 /// The bitmask scorer must agree with the legacy part-major scorer bit for
 /// bit, at part counts below / at / above the mask-word width (multi-word
-/// rows) — serially and through the batched speculative team path.
+/// rows) — at 1 and 4 threads.
 TEST(MaskScorerEquivalence, MatchesLegacyScorerAcrossPartCounts) {
   const Graph g = gen::chung_lu(800, 6'000, 2.3, false, 21);
   for (const PartitionId parts : {2u, 63u, 64u, 65u, 200u}) {
@@ -170,32 +170,26 @@ TEST(MaskScorerEquivalence, MatchesLegacyScorerAcrossPartCounts) {
         << "bitmask scorer diverged from the legacy scorer at p=" << parts;
 
     config.num_threads = 4;
-    config.batch_size = 64;
-    const EdgePartition batched =
+    const EdgePartition threaded =
         make_partitioner("ebv")->partition(g, config);
-    EXPECT_EQ(batched.part_of_edge, legacy.part_of_edge)
-        << "batched scorer diverged from the legacy scorer at p=" << parts;
+    EXPECT_EQ(threaded.part_of_edge, legacy.part_of_edge)
+        << "4-thread EBV diverged from the legacy scorer at p=" << parts;
   }
 }
 
-/// Batched speculative scoring on the golden workload: every (threads,
-/// batch) combination must reproduce the serial assignment exactly for
-/// both EBV drivers.
-TEST(GoldenDeterminism, BatchedSpeculativeScoringMatchesSerial) {
+/// Thread-count invariance on the golden workload: every thread count must
+/// reproduce the serial assignment exactly for both EBV drivers.
+TEST(GoldenDeterminism, ThreadCountMatchesSerial) {
   const Graph& g = golden_graph();
   for (const std::string name : {"ebv", "ebv-stream"}) {
     PartitionConfig config = golden_config();
     config.num_threads = 1;
     const EdgePartition serial = make_partitioner(name)->partition(g, config);
     for (const std::uint32_t threads : {1u, 4u, 16u}) {
-      for (const std::uint32_t batch : {1u, 64u, 4096u}) {
-        config.num_threads = threads;
-        config.batch_size = batch;
-        const EdgePartition run = make_partitioner(name)->partition(g, config);
-        EXPECT_EQ(run.part_of_edge, serial.part_of_edge)
-            << name << " diverged at threads=" << threads
-            << " batch=" << batch;
-      }
+      config.num_threads = threads;
+      const EdgePartition run = make_partitioner(name)->partition(g, config);
+      EXPECT_EQ(run.part_of_edge, serial.part_of_edge)
+          << name << " diverged at threads=" << threads;
     }
   }
 }

@@ -81,9 +81,9 @@ INSTANTIATE_TEST_SUITE_P(
       return id;
     });
 
-TEST(MmapBitIdentical, BatchedTeamScoringOverMmapMatchesSerial) {
-  // The batched speculative protocol must stay bit-identical when the
-  // edge source is a mapped section.
+TEST(MmapBitIdentical, ThreadedEbvOverMmapMatchesSerial) {
+  // The parallel edge sort must stay bit-identical when the edge source is
+  // a mapped section.
   const MappedGraph mapped(snapshot_path());
   PartitionConfig config;
   config.num_parts = 8;
@@ -91,10 +91,9 @@ TEST(MmapBitIdentical, BatchedTeamScoringOverMmapMatchesSerial) {
   const EdgePartition serial =
       make_partitioner("ebv")->partition_view(mapped.view(), config);
   config.num_threads = 4;
-  config.batch_size = 64;
-  const EdgePartition batched =
+  const EdgePartition threaded =
       make_partitioner("ebv")->partition_view(mapped.view(), config);
-  EXPECT_EQ(batched.part_of_edge, serial.part_of_edge);
+  EXPECT_EQ(threaded.part_of_edge, serial.part_of_edge);
 }
 
 TEST(MmapBitIdentical, FallbackMaterialisesForNonStreamingAlgos) {

@@ -1,9 +1,10 @@
 // Thread-pool primitives (common/parallel.h) and the bit-identical
-// parallel-determinism guarantee of the EBV family's batched speculative
-// team scoring (partition/eva_scorer.h).
+// thread-count invariance of the EBV family (parallel edge sort, serial
+// Eva scoring).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -97,7 +98,7 @@ TEST(ParallelFor, ConcurrentExternalCallersSerialise) {
 
 TEST(RunTeam, AllRanksRunConcurrently) {
   constexpr unsigned kTeam = 8;  // oversubscribes small CI hosts on purpose
-  SpinBarrier barrier(kTeam);
+  std::barrier barrier(kTeam);
   std::vector<unsigned> rank_seen(kTeam, 0);
   ThreadPool::global().run_team(kTeam, [&](unsigned rank, unsigned team) {
     ASSERT_EQ(team, kTeam);
@@ -152,10 +153,13 @@ TEST(EdgeOrder, ParallelSortMatchesSerial) {
   EXPECT_EQ(desc1, desc8);
 }
 
-/// The headline guarantee: batched speculative parallel EBV is
-/// bit-identical to serial EBV for every (threads, batch) combination.
-TEST(EbvParallelDeterminism, PartOfEdgeIdenticalAcrossThreadsAndBatches) {
-  const Graph g = gen::chung_lu(2'000, 10'000, 2.3, false, 5);
+/// The headline guarantee: EBV output is bit-identical to the 1-thread
+/// run at every thread count.
+TEST(EbvParallelDeterminism, PartOfEdgeIdenticalAcrossThreads) {
+  // Above the 2^14 threshold of make_edge_order's parallel key fill and
+  // chunk-sort, the stages num_threads fans out.
+  const Graph g = gen::chung_lu(4'000, 20'000, 2.3, false, 5);
+  ASSERT_GE(g.num_edges(), EdgeId{1} << 14);
   const auto partitioner = make_partitioner("ebv");
   PartitionConfig config;
   config.num_parts = 32;
@@ -163,19 +167,15 @@ TEST(EbvParallelDeterminism, PartOfEdgeIdenticalAcrossThreadsAndBatches) {
   config.num_threads = 1;
   const EdgePartition serial = partitioner->partition(g, config);
   for (const std::uint32_t threads : {1u, 4u, 16u}) {
-    for (const std::uint32_t batch : {1u, 64u, 4096u}) {
-      config.num_threads = threads;
-      config.batch_size = batch;
-      const EdgePartition parallel = partitioner->partition(g, config);
-      ASSERT_EQ(parallel.num_parts, serial.num_parts);
-      EXPECT_EQ(parallel.part_of_edge, serial.part_of_edge)
-          << "EBV output diverged at " << threads << " threads, batch "
-          << batch;
-    }
+    config.num_threads = threads;
+    const EdgePartition parallel = partitioner->partition(g, config);
+    ASSERT_EQ(parallel.num_parts, serial.num_parts);
+    EXPECT_EQ(parallel.part_of_edge, serial.part_of_edge)
+        << "EBV output diverged at " << threads << " threads";
   }
 }
 
-TEST(EbvParallelDeterminism, StreamingIdenticalAcrossThreadsAndBatches) {
+TEST(EbvParallelDeterminism, StreamingIdenticalAcrossThreads) {
   const Graph g = gen::chung_lu(1'500, 8'000, 2.4, false, 9);
   const auto partitioner = make_partitioner("ebv-stream");
   PartitionConfig config;
@@ -184,20 +184,15 @@ TEST(EbvParallelDeterminism, StreamingIdenticalAcrossThreadsAndBatches) {
   config.num_threads = 1;
   const EdgePartition serial = partitioner->partition(g, config);
   for (const std::uint32_t threads : {1u, 4u, 16u}) {
-    for (const std::uint32_t batch : {1u, 64u, 4096u}) {
-      config.num_threads = threads;
-      config.batch_size = batch;
-      const EdgePartition parallel = partitioner->partition(g, config);
-      EXPECT_EQ(parallel.part_of_edge, serial.part_of_edge)
-          << "streaming EBV output diverged at " << threads
-          << " threads, batch " << batch;
-    }
+    config.num_threads = threads;
+    const EdgePartition parallel = partitioner->partition(g, config);
+    EXPECT_EQ(parallel.part_of_edge, serial.part_of_edge)
+        << "streaming EBV output diverged at " << threads << " threads";
   }
 }
 
 TEST(EbvParallelDeterminism, NaturalOrderAndHyperParams) {
-  // Exercise a non-default order and asymmetric α/β through the same
-  // parallel path.
+  // Exercise a non-default order and asymmetric α/β at 4 threads.
   const Graph g = gen::chung_lu(1'000, 6'000, 2.2, false, 13);
   const auto partitioner = make_partitioner("ebv");
   PartitionConfig config;
@@ -209,7 +204,6 @@ TEST(EbvParallelDeterminism, NaturalOrderAndHyperParams) {
   config.num_threads = 1;
   const EdgePartition serial = partitioner->partition(g, config);
   config.num_threads = 4;
-  config.batch_size = 7;  // deliberately odd, not a divisor of |E|
   const EdgePartition parallel = partitioner->partition(g, config);
   EXPECT_EQ(parallel.part_of_edge, serial.part_of_edge);
 }

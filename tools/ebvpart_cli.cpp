@@ -250,7 +250,7 @@ int cmd_stats(const ArgMap& args) {
 int cmd_partition(const ArgMap& args) {
   cli::check_known_flags(args, "partition",
                          {"graph", "mmap", "algo", "parts", "alpha", "beta",
-                          "order", "seed", "threads", "batch", "out", "trace"});
+                          "order", "seed", "threads", "out", "trace"});
   const std::string algo = get(args, "algo", "ebv");
   PartitionConfig config;
   config.num_parts =
@@ -260,8 +260,6 @@ int cmd_partition(const ArgMap& args) {
   config.seed = get_uint(args, "seed", "42");
   config.num_threads =
       static_cast<std::uint32_t>(get_uint(args, "threads", "1", kU32Max));
-  config.batch_size =
-      static_cast<std::uint32_t>(get_uint(args, "batch", "256", kU32Max));
   // Size the shared pool to the requested team so the ranks run on
   // resident workers instead of per-call temporary threads.
   if (config.num_threads > 1) {
@@ -936,7 +934,7 @@ void print_usage(std::ostream& out) {
          "  partition --graph g.{ebvg,ebvs,txt} | --mmap g.ebvs\n"
          "            [--algo ebv] [--parts 8] [--alpha A] [--beta B]\n"
          "            [--order sorted|natural|desc|random] [--seed S]\n"
-         "            [--threads T] [--batch B] [--out p.ebvp]\n"
+         "            [--threads T] [--out p.ebvp]\n"
          "            [--trace t.json]\n"
          "  run       --graph g.{ebvg,ebvs,txt} | --mmap g.ebvs\n"
          "            --app cc|pr|sssp [--threads T]\n"
