@@ -3,6 +3,9 @@
 // metrics, distributed-graph assembly).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bsp/distributed_graph.h"
 #include "graph/csr.h"
 #include "graph/generators.h"
@@ -107,6 +110,21 @@ void BM_Metrics(benchmark::State& state) {
   }
 }
 
+// Interquartile range (linear-interpolated quartiles) of the repetition
+// samples, reported beside the median of the single-iteration rows.
+double iqr(const std::vector<double>& samples) {
+  if (samples.empty()) return 0.0;
+  std::vector<double> v = samples;
+  std::sort(v.begin(), v.end());
+  auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return quantile(0.75) - quantile(0.25);
+}
+
 void BM_DistributedGraphBuild(benchmark::State& state) {
   const Graph& g = test_graph();
   const auto part = make_partitioner("ebv")->partition(g, {.num_parts = 16});
@@ -126,20 +144,31 @@ BENCHMARK_CAPTURE(BM_Partitioner, metis, std::string("metis"))->Arg(16);
 BENCHMARK_CAPTURE(BM_Partitioner, hdrf, std::string("hdrf"))->Arg(16);
 BENCHMARK_CAPTURE(BM_Partitioner, ebv_p4, std::string("ebv"))->Arg(4);
 BENCHMARK_CAPTURE(BM_Partitioner, ebv_p64, std::string("ebv"))->Arg(64);
+// The 1M-edge rows run one iteration per sample, so each reports the
+// median and IQR of 5 repetitions instead of a single sample.
 BENCHMARK(BM_EvaScore)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(1)
+    ->Repetitions(5)
+    ->ComputeStatistics("iqr", iqr)
+    ->ReportAggregatesOnly(true);
 BENCHMARK(BM_EbvThreads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(1)
+    ->Repetitions(5)
+    ->ComputeStatistics("iqr", iqr)
+    ->ReportAggregatesOnly(true);
 BENCHMARK(BM_EdgeSortThreads)
     ->Arg(1)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(1)
+    ->Repetitions(5)
+    ->ComputeStatistics("iqr", iqr)
+    ->ReportAggregatesOnly(true);
 BENCHMARK(BM_CsrBuild);
 BENCHMARK(BM_EdgeSort);
 BENCHMARK(BM_Metrics);

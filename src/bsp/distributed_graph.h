@@ -54,6 +54,8 @@ class DistributedGraph {
   /// Builds all worker-local structures resident. O(|E| + Σ|Vi|) time;
   /// the edge span is read in three sequential streaming passes and is
   /// never copied, so an mmap-backed view needs no resident edge storage.
+  /// No local adjacency is built: each worker's CSRs are built on first
+  /// use, per direction (LocalSubgraph::csr).
   DistributedGraph(const GraphView& graph, const EdgePartition& partition);
 
   /// As above; `options.spill_path` selects spilled construction, which
@@ -87,13 +89,12 @@ class DistributedGraph {
     return locals_[i];
   }
 
-  /// Spilled mode only: materialise worker i from the spill store.
-  /// `build_csr = false` skips the local adjacency CSRs (enough for
-  /// message routing). Throws std::invalid_argument in resident mode.
-  [[nodiscard]] LocalSubgraph load_worker(PartitionId i,
-                                          bool build_csr = true) const {
+  /// Spilled mode only: materialise worker i from the spill store (its
+  /// adjacency is built on first use, see LocalSubgraph::csr). Throws
+  /// std::invalid_argument in resident mode.
+  [[nodiscard]] LocalSubgraph load_worker(PartitionId i) const {
     EBV_REQUIRE(spilled(), "load_worker(): subgraphs are resident; use local()");
-    return store_->load_worker(i, build_csr);
+    return store_->load_worker(i);
   }
 
   /// Parts holding vertex v (ascending). Size 1 for non-replicated

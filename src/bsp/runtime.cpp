@@ -133,16 +133,16 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   auto sub = [&](PartitionId i) -> const LocalSubgraph& {
     return spilled ? *cache[i] : graph.local(i);
   };
-  auto ensure_loaded = [&](PartitionId first, PartitionId last,
-                           bool with_csr) {
+  auto ensure_loaded = [&](PartitionId first, PartitionId last) {
     if (!spilled) return;
     const obs::trace::Span probe("load", first, load_slot);
     for (PartitionId i = first; i < last; ++i) {
       if (cache[i] == nullptr) {
-        // An unbounded budget loads every worker once, CSRs included,
-        // and keeps it; a bounded one materialises per phase.
-        cache[i] = std::make_unique<LocalSubgraph>(
-            graph.load_worker(i, with_csr || !bounded));
+        // An unbounded budget loads every worker once and keeps it; a
+        // bounded one materialises per phase. Either way a load is
+        // section copies only: the adjacency a program reads is built
+        // by its compute task and dropped with the subgraph at release.
+        cache[i] = std::make_unique<LocalSubgraph>(graph.load_worker(i));
         const std::uint32_t now =
             1 + resident_now.fetch_add(1, std::memory_order_relaxed);
         std::uint32_t peak = resident_peak.load(std::memory_order_relaxed);
@@ -165,9 +165,9 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   };
   /// Run `body(first, last)` over the residency groups in ascending
   /// worker order (one-shot stages: value init and the final gather).
-  auto for_each_group = [&](bool with_csr, auto&& body) {
+  auto for_each_group = [&](auto&& body) {
     for (const Group& grp : groups) {
-      ensure_loaded(grp.first, grp.last, with_csr);
+      ensure_loaded(grp.first, grp.last);
       body(grp.first, grp.last);
       release(grp.first, grp.last);
     }
@@ -203,7 +203,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   // diverges from it — comparing against the *current* value would miss
   // improvements the master made in-place during local compute.
   std::vector<std::vector<Value>> last_sync(p);
-  for_each_group(false, [&](PartitionId first, PartitionId last) {
+  for_each_group([&](PartitionId first, PartitionId last) {
     for (PartitionId i = first; i < last; ++i) {
       const LocalSubgraph& ls = sub(i);
       EBV_ASSERT(plan.slot(i).size() == ls.num_vertices());
@@ -302,7 +302,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
         // Programs rebuild their per-worker scratch; the throwaway
         // context discards any work accounting so virtual time stays
         // bit-identical to the uninterrupted run.
-        for_each_group(true, [&](PartitionId first, PartitionId last) {
+        for_each_group([&](PartitionId first, PartitionId last) {
           for (PartitionId i = first; i < last; ++i) {
             WorkerContext ctx(sub(i), values[i], acc[i], has_acc[i],
                               emitted[i], program);
@@ -529,12 +529,12 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
     std::vector<TaskGraph::TaskId> L2(ng, kNone), Rel2(ng, kNone);
     TaskGraph::TaskId prev_rel = kNone;  // release-chain tail
 
-    // Phase 1: load(csr) → compute (+ local resolve) → route → release.
+    // Phase 1: load → compute (+ local resolve) → route → release.
     for (std::size_t g = 0; g < ng; ++g) {
       const Group grp = groups[g];
       if (with_loads) {
         L1[g] = tg.add(
-            [&, grp] { ensure_loaded(grp.first, grp.last, true); },
+            [&, grp] { ensure_loaded(grp.first, grp.last); },
             {g > 0 ? L1[g - 1] : kNone,
              g >= overlap ? Rel1[g - overlap] : kNone});
       }
@@ -560,7 +560,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
       const Group grp = groups[g];
       if (with_loads) {
         L2[g] = tg.add(
-            [&, grp] { ensure_loaded(grp.first, grp.last, false); },
+            [&, grp] { ensure_loaded(grp.first, grp.last); },
             {g > 0 ? L2[g - 1] : kNone, Rel1[g],
              g >= overlap ? Rel2[g - overlap] : Rel1[ng - overlap + g]});
       }
@@ -684,7 +684,7 @@ RunStats BspRuntime::run(const DistributedGraph& graph,
   // at a time; for every covered vertex exactly one worker holds
   // is_master, so this writes the same values as a per-vertex gather.
   stats.values.assign(graph.num_global_vertices(), Value{});
-  for_each_group(false, [&](PartitionId first, PartitionId last) {
+  for_each_group([&](PartitionId first, PartitionId last) {
     for (PartitionId m = first; m < last; ++m) {
       const LocalSubgraph& ls = sub(m);
       for (VertexId lv = 0; lv < ls.num_vertices(); ++lv) {

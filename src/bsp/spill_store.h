@@ -67,8 +67,8 @@ class SpillStoreWriter {
   SpillStoreWriter& operator=(const SpillStoreWriter&) = delete;
 
   /// Append the next worker's sections. `ls.part` must equal the number
-  /// of workers written so far; CSRs are not serialised (loads rebuild
-  /// them) and may be left unbuilt.
+  /// of workers written so far; adjacency is not serialised (a loaded
+  /// worker builds it on first use).
   void write_worker(const LocalSubgraph& ls);
 
   /// Write the worker table, patch the header, flush. Requires all
@@ -105,12 +105,10 @@ class SpillStore {
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] std::size_t mapped_bytes() const { return file_.size(); }
 
-  /// Materialise worker i. `build_csr = false` skips the three local
-  /// adjacency CSRs — the runtime's communication-only sweeps route by
-  /// id tables and flags alone, so their loads are O(|Vi| + |Ei|) copies
-  /// with no CSR construction.
-  [[nodiscard]] LocalSubgraph load_worker(PartitionId i,
-                                          bool build_csr = true) const;
+  /// Materialise worker i: O(|Vi| + |Ei|) section copies. No adjacency
+  /// is built here; LocalSubgraph::csr() builds a direction on first use,
+  /// so a load that only routes messages never pays for one.
+  [[nodiscard]] LocalSubgraph load_worker(PartitionId i) const;
 
  private:
   io::detail::MappedFile file_;

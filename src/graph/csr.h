@@ -47,6 +47,12 @@ class CsrGraph {
   [[nodiscard]] std::uint32_t degree(VertexId v) const {
     return static_cast<std::uint32_t>(offsets_[v + 1] - offsets_[v]);
   }
+  /// Heap bytes held by the three arrays.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return offsets_.size() * sizeof(EdgeId) +
+           neighbors_.size() * sizeof(VertexId) +
+           edge_ids_.size() * sizeof(EdgeId);
+  }
 
  private:
   std::vector<EdgeId> offsets_;     // size num_vertices + 1

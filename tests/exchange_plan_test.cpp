@@ -53,7 +53,7 @@ EdgePartition random_partition(const Graph& g, PartitionId p,
 std::vector<LocalSubgraph> materialise(const DistributedGraph& dist) {
   std::vector<LocalSubgraph> out;
   for (PartitionId i = 0; i < dist.num_workers(); ++i) {
-    out.push_back(dist.spilled() ? dist.load_worker(i, false)
+    out.push_back(dist.spilled() ? dist.load_worker(i)
                                  : dist.local(i));
   }
   return out;

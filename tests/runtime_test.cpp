@@ -50,8 +50,9 @@ class MaxOneHop final : public bsp::SubgraphProgram {
       frontier = ctx.updated();
     }
     std::vector<std::uint8_t> changed(ls.num_vertices(), 0);
+    const CsrGraph& both = ls.csr(CsrGraph::Direction::kBoth);
     for (const VertexId v : frontier) {
-      for (const VertexId w : ls.both_csr.neighbors(v)) {
+      for (const VertexId w : both.neighbors(v)) {
         ctx.add_work(1);
         if (ctx.value(v) > ctx.value(w)) {
           ctx.set_value(w, ctx.value(v));

@@ -9,11 +9,16 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/experiment.h"
+#include "apps/bfs.h"
 #include "apps/cc.h"
+#include "apps/pagerank.h"
+#include "apps/sssp.h"
 #include "bsp/distributed_graph.h"
 #include "bsp/runtime.h"
 #include "bsp/spill_store.h"
@@ -74,9 +79,10 @@ void expect_subgraph_equal(const LocalSubgraph& a, const LocalSubgraph& b) {
   EXPECT_EQ(a.is_master, b.is_master);
   EXPECT_EQ(a.master_part, b.master_part);
   EXPECT_EQ(a.global_out_degree, b.global_out_degree);
-  expect_csr_equal(a.out_csr, b.out_csr);
-  expect_csr_equal(a.in_csr, b.in_csr);
-  expect_csr_equal(a.both_csr, b.both_csr);
+  for (const auto d : {CsrGraph::Direction::kOut, CsrGraph::Direction::kIn,
+                       CsrGraph::Direction::kBoth}) {
+    expect_csr_equal(a.csr(d), b.csr(d));
+  }
 }
 
 void expect_stats_identical(const RunStats& a, const RunStats& b) {
@@ -140,15 +146,78 @@ TEST(SpillStore, WeightedRoundTrip) {
   }
 }
 
-TEST(SpillStore, LoadWithoutCsrSkipsAdjacency) {
+TEST(SpillStore, AdjacencyIsBuiltOnFirstUsePerDirection) {
+  // Neither a load nor the resident constructor builds adjacency; csr(d)
+  // builds exactly direction d, once.
   const Graph& g = powerlaw_graph();
+  const EdgePartition partition = ebv_partition(g, 4);
+  const DistributedGraph resident(g, partition);
   const DistributedGraph spilled(
-      g, ebv_partition(g, 4), {.spill_path = temp_path("nocsr.ebvw")});
-  const LocalSubgraph ls = spilled.load_worker(0, /*build_csr=*/false);
-  EXPECT_GT(ls.num_vertices(), 0u);
-  EXPECT_EQ(ls.out_csr.num_vertices(), 0u);
-  EXPECT_EQ(ls.in_csr.num_vertices(), 0u);
-  EXPECT_EQ(ls.both_csr.num_vertices(), 0u);
+      g, partition, {.spill_path = temp_path("lazy_csr.ebvw")});
+  const LocalSubgraph loaded = spilled.load_worker(0);
+  const LocalSubgraph& local = resident.local(0);
+  ASSERT_GT(loaded.num_edges(), 0u);
+  EXPECT_EQ(loaded.adjacency_bytes(), 0u);
+  EXPECT_EQ(local.adjacency_bytes(), 0u);
+
+  const CsrGraph& out = loaded.csr(CsrGraph::Direction::kOut);
+  EXPECT_EQ(out.num_entries(), loaded.num_edges());
+  EXPECT_EQ(loaded.adjacency_bytes(), out.memory_bytes());
+  EXPECT_EQ(&loaded.csr(CsrGraph::Direction::kOut), &out);  // not rebuilt
+  EXPECT_EQ(loaded.adjacency_bytes(), out.memory_bytes());
+
+  const CsrGraph& both = local.csr(CsrGraph::Direction::kBoth);
+  EXPECT_EQ(both.num_entries(), 2 * local.num_edges());
+  EXPECT_EQ(local.adjacency_bytes(), both.memory_bytes());
+  EXPECT_EQ(resident.local(1).adjacency_bytes(), 0u);
+}
+
+TEST(SpillStore, ConcurrentFirstUseBuildsOneAdjacency) {
+  // Several threads first touching the same const resident worker get
+  // one shared CSR, equal to a direct build (TSan runs this suite).
+  const Graph& g = powerlaw_graph();
+  const DistributedGraph resident(g, ebv_partition(g, 4));
+  const LocalSubgraph& ls = resident.local(0);
+  constexpr int kThreads = 4;
+  std::vector<const CsrGraph*> seen(kThreads, nullptr);
+  std::latch start(kThreads);
+  {
+    std::vector<std::jthread> team;
+    for (int t = 0; t < kThreads; ++t) {
+      team.emplace_back([&, t] {
+        start.arrive_and_wait();
+        seen[t] = &ls.csr(CsrGraph::Direction::kBoth);
+      });
+    }
+  }
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
+  expect_csr_equal(*seen[0],
+                   CsrGraph::build(ls.num_vertices(), ls.edges,
+                                   CsrGraph::Direction::kBoth));
+  EXPECT_EQ(ls.adjacency_bytes(), seen[0]->memory_bytes());
+}
+
+TEST(SpillStore, ProgramsBuildOnlyTheAdjacencyTheyRead) {
+  const Graph& g = weighted_graph();
+  const EdgePartition partition = ebv_partition(g, 4);
+  {
+    const DistributedGraph resident(g, partition);
+    (void)BspRuntime().run(resident, apps::PageRank(g.num_vertices(), 5));
+    (void)BspRuntime().run(resident, apps::ConnectedComponents());
+    for (PartitionId i = 0; i < resident.num_workers(); ++i) {
+      EXPECT_EQ(resident.local(i).adjacency_bytes(), 0u) << "worker " << i;
+    }
+  }
+  const DistributedGraph resident(g, partition);
+  (void)BspRuntime().run(resident, apps::Sssp(0));
+  for (PartitionId i = 0; i < resident.num_workers(); ++i) {
+    const LocalSubgraph& ls = resident.local(i);
+    EXPECT_EQ(ls.adjacency_bytes(),
+              CsrGraph::build(ls.num_vertices(), ls.edges,
+                              CsrGraph::Direction::kOut)
+                  .memory_bytes())
+        << "worker " << i;
+  }
 }
 
 TEST(SpillStore, ResidentModeRejectsLoadAndSpilledRejectsLocal) {
@@ -203,7 +272,7 @@ TEST_P(SpillRunApps, BoundedResidencyBitIdenticalForEveryBudget) {
   const Graph& g =
       app == analysis::App::kSssp ? weighted_graph() : powerlaw_graph();
   const auto baseline = analysis::run_experiment(g, "ebv", 8, app);
-  for (const std::uint32_t k : {1u, 3u, 8u}) {
+  for (const std::uint32_t k : {1u, 3u, 8u, 100u}) {
     RunOptions options;
     options.resident_workers = k;
     options.spill_dir = testing::TempDir();
@@ -219,6 +288,25 @@ INSTANTIATE_TEST_SUITE_P(AllApps, SpillRunApps,
                          [](const testing::TestParamInfo<analysis::App>& i) {
                            return analysis::app_name(i.param);
                          });
+
+TEST(SpillRun, BfsBoundedResidencyBitIdenticalForEveryBudget) {
+  // BFS is the one reader of the symmetrised adjacency; loaded workers
+  // build it per compute task, resident ones once.
+  const Graph& g = powerlaw_graph();
+  const EdgePartition partition = ebv_partition(g, 8);
+  const DistributedGraph resident(g, partition);
+  const DistributedGraph spilled(
+      g, partition, {.spill_path = temp_path("bfs_budget.ebvw")});
+  const apps::Bfs bfs(0);
+  const RunStats base = BspRuntime().run(resident, bfs);
+  ASSERT_GT(base.supersteps, 1u);
+  for (const std::uint32_t k : {1u, 3u, 8u, 100u}) {
+    RunOptions options;
+    options.resident_workers = k;
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    expect_stats_identical(BspRuntime(options).run(spilled, bfs), base);
+  }
+}
 
 TEST(SpillRun, SpilledGraphWithUnboundedBudgetIsIdentical) {
   // k = 0 (and k >= p) on a spilled graph loads every worker once into a
